@@ -66,6 +66,13 @@ func FuzzJournalReplay(f *testing.F) {
 		// Folding arbitrary replays must not panic either.
 		_ = Fold(recs)
 
+		// The accounting is never negative and covers exactly the intact
+		// WAL prefix Open kept.
+		u := j.Usage()
+		if u.LiveBytes < 0 || u.GarbageBytes < 0 || u.LiveBytes+u.GarbageBytes != u.WALBytes {
+			t.Fatalf("accounting after Open: %+v", u)
+		}
+
 		// Open truncated the WAL to its intact prefix; a second open
 		// must replay identically (replay is deterministic and stable).
 		j2, recs2, err := Open(dir, Options{})
@@ -75,6 +82,9 @@ func FuzzJournalReplay(f *testing.F) {
 		defer j2.Close()
 		if len(recs2) != len(recs) {
 			t.Fatalf("second replay %d records, first %d", len(recs2), len(recs))
+		}
+		if u2 := j2.Usage(); u2 != u {
+			t.Fatalf("second Open accounting %+v, first %+v", u2, u)
 		}
 	})
 }

@@ -31,6 +31,20 @@
 // reset is harmless: replay skips WAL records the snapshot already
 // absorbed.
 //
+// Accounting. The journal files every line it holds, by its length, as
+// live or garbage. Live: each scan's latest accepted record and latest
+// completed/quarantined record, fleet_member and dispatch records, and
+// everything a snapshot holds. Garbage: started and attempt_failed
+// records, accepted and final records a later record of the same kind
+// superseded (re-acceptance retires the whole old pair), records of
+// scans the caller retired (Retire), and WAL records a snapshot already
+// absorbed. NeedsCompaction asks for a compaction only once garbage
+// outweighs both the live bytes and a floor, so compaction rewrites at
+// most as many bytes as it drops and disk use stays under
+// 2 × live + floor. Open rebuilds the same split from the files.
+// Retirements are not journaled: the caller re-applies them as it
+// replays (the daemon's registry bound evicts the same scans again).
+//
 // Failure. The journal is an aid, never a gate: when the disk fails
 // mid-flight the journal flips to degraded (Degraded reports it,
 // journal_degraded_events_total counts it), stops touching the disk,
@@ -148,7 +162,17 @@ type Journal struct {
 	walBytes    int64
 	degraded    bool
 	degradedErr error
+
+	// live and garbage split every byte of the snapshot and WAL; scans
+	// holds each scan's live line lengths so a superseding record or
+	// Retire can move them to garbage.
+	live, garbage int64
+	scans         map[string]*scanBytes
 }
+
+// scanBytes is one scan's live journal bytes: its latest accepted line
+// and its latest final line (in a snapshot, also the attempt marker).
+type scanBytes struct{ accepted, final int64 }
 
 // Open opens (creating if needed) the journal in dir and replays it:
 // the returned records are every intact lifecycle record, snapshot
@@ -165,9 +189,12 @@ func Open(dir string, opt Options) (*Journal, []Record, error) {
 	if logger == nil {
 		logger = obs.DiscardLogger()
 	}
-	j := &Journal{dir: dir, opt: opt, rec: opt.Recorder, log: logger.With("component", "journal")}
+	j := &Journal{
+		dir: dir, opt: opt, rec: opt.Recorder, log: logger.With("component", "journal"),
+		scans: make(map[string]*scanBytes),
+	}
 
-	snapRecs, _, err := readLog(filepath.Join(dir, snapName), j.rec)
+	snapRecs, snapLens, _, err := readLog(filepath.Join(dir, snapName), j.rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -176,7 +203,8 @@ func Open(dir string, opt Options) (*Journal, []Record, error) {
 	// them behind).
 	var coveredSeq uint64
 	records := make([]Record, 0, len(snapRecs))
-	for _, r := range snapRecs {
+	for i, r := range snapRecs {
+		j.accountLocked(r, snapLens[i], true)
 		if r.Type == recSnapshot {
 			coveredSeq = r.Seq
 			continue
@@ -195,14 +223,16 @@ func Open(dir string, opt Options) (*Journal, []Record, error) {
 	}
 
 	walPath := filepath.Join(dir, walName)
-	walRecs, goodLen, err := readLog(walPath, j.rec)
+	walRecs, walLens, goodLen, err := readLog(walPath, j.rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, r := range walRecs {
+	for i, r := range walRecs {
 		if r.Seq <= coveredSeq {
+			j.garbage += walLens[i]
 			continue
 		}
+		j.accountLocked(r, walLens[i], false)
 		records = append(records, r)
 		if r.Seq > j.seq {
 			j.seq = r.Seq
@@ -229,17 +259,19 @@ func Open(dir string, opt Options) (*Journal, []Record, error) {
 }
 
 // readLog parses one CRC-guarded JSONL file, tolerating a damaged
-// tail: it returns every intact record plus the byte offset where the
-// intact prefix ends. A missing file is an empty log.
-func readLog(path string, rec *obs.Recorder) ([]Record, int64, error) {
+// tail: it returns every intact record with its line length, plus the
+// byte offset where the intact prefix ends. A missing file is an empty
+// log.
+func readLog(path string, rec *obs.Recorder) ([]Record, []int64, int64, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
+		return nil, nil, 0, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("durable: reading %s: %w", filepath.Base(path), err)
+		return nil, nil, 0, fmt.Errorf("durable: reading %s: %w", filepath.Base(path), err)
 	}
 	var records []Record
+	var lens []int64
 	var good int64
 	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
@@ -258,10 +290,11 @@ func readLog(path string, rec *obs.Recorder) ([]Record, int64, error) {
 			break
 		}
 		records = append(records, r)
+		lens = append(lens, int64(nl+1))
 		off += nl + 1
 		good = int64(off)
 	}
-	return records, good, nil
+	return records, lens, good, nil
 }
 
 // parseLine decodes one "crc8hex json" line, verifying the checksum.
@@ -300,10 +333,20 @@ func encodeLine(r Record) ([]byte, error) {
 // Append journals one record, assigning its sequence number and
 // timestamp, and fsyncs per the sync policy. After a disk failure the
 // journal is degraded and Append returns ErrDegraded without touching
-// the disk; it never blocks on a broken device.
+// the disk; it never blocks on a broken device. Every failed Append,
+// the ErrDegraded fast-fail included, counts once in
+// journal_append_errors_total.
 func (j *Journal) Append(r Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err := j.appendLocked(r); err != nil {
+		j.count("journal_append_errors_total")
+		return err
+	}
+	return nil
+}
+
+func (j *Journal) appendLocked(r Record) error {
 	if j.degraded {
 		return ErrDegraded
 	}
@@ -323,7 +366,9 @@ func (j *Journal) Append(r Record) error {
 		return j.degradeLocked(err)
 	}
 	j.walBytes += int64(len(line))
+	j.accountLocked(r, int64(len(line)), false)
 	j.count("journal_appends_total")
+	j.add("journal_appended_bytes_total", int64(len(line)))
 	j.unsynced++
 	every := j.opt.SyncEvery
 	if every == 0 {
@@ -353,10 +398,21 @@ func (j *Journal) syncLocked() error {
 // Compact atomically replaces the snapshot with the live record set
 // and resets the WAL. Callers pass the minimal records that
 // reconstruct current state (typically one accepted plus one terminal
-// record per retained scan); sequence numbers are reassigned.
+// record per retained scan); sequence numbers are reassigned. The
+// accounting restarts from the snapshot: all of it live, no garbage.
+// Every failed Compact counts once in journal_compact_errors_total.
 func (j *Journal) Compact(live []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err := j.compactLocked(live); err != nil {
+		j.count("journal_compact_errors_total")
+		return err
+	}
+	j.count("journal_compactions_total")
+	return nil
+}
+
+func (j *Journal) compactLocked(live []Record) error {
 	if j.degraded {
 		return ErrDegraded
 	}
@@ -380,7 +436,8 @@ func (j *Journal) Compact(live []Record) error {
 		recs = append(recs, r)
 	}
 	tmp := filepath.Join(j.dir, snapName+".tmp")
-	if err := j.writeSnapshotLocked(tmp, recs); err != nil {
+	lens, err := j.writeSnapshotLocked(tmp, recs)
+	if err != nil {
 		return j.degradeLocked(err)
 	}
 	if err := j.faultLocked("rename", tmp); err != nil {
@@ -406,8 +463,75 @@ func (j *Journal) Compact(live []Record) error {
 	}
 	j.seq = horizon
 	j.walBytes = 0
-	j.count("journal_compactions_total")
+	j.live, j.garbage = 0, 0
+	j.scans = make(map[string]*scanBytes, len(j.scans))
+	for i, r := range recs {
+		j.accountLocked(r, lens[i], true)
+	}
+	j.add("journal_compacted_bytes_total", j.live)
 	return nil
+}
+
+// accountLocked files one n-byte journal line as live or garbage (see
+// Accounting in the package comment); caller holds j.mu. Lines of a
+// snapshot are live by construction: Compact wrote exactly the live
+// set, so inSnapshot only attributes them to their scan.
+func (j *Journal) accountLocked(r Record, n int64, inSnapshot bool) {
+	sb := j.scans[r.ScanID]
+	switch {
+	case r.Type == RecAccepted:
+		if sb == nil {
+			sb = &scanBytes{}
+			j.scans[r.ScanID] = sb
+		} else if !inSnapshot {
+			j.dropLocked(sb)
+		}
+		sb.accepted += n
+	case sb != nil && (inSnapshot || r.Type == RecCompleted || r.Type == RecQuarantined):
+		if !inSnapshot {
+			j.live -= sb.final
+			j.garbage += sb.final
+			sb.final = 0
+		}
+		sb.final += n
+	case r.Type == RecStarted || r.Type == RecAttemptFailed ||
+		r.Type == RecCompleted || r.Type == RecQuarantined:
+		// Attempt bookkeeping, or a record whose scan has no accepted
+		// record left (retired, or lost in a damaged tail).
+		j.garbage += n
+		return
+	}
+	j.live += n
+}
+
+// dropLocked moves all of one scan's live bytes to garbage; caller
+// holds j.mu.
+func (j *Journal) dropLocked(sb *scanBytes) {
+	n := sb.accepted + sb.final
+	j.live -= n
+	j.garbage += n
+	*sb = scanBytes{}
+}
+
+// Retire marks every record of scanID as garbage: the caller no longer
+// needs the scan (the daemon evicted it), so the next compaction drops
+// it. Retiring an unknown or already retired scan is a no-op.
+func (j *Journal) Retire(scanID string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if sb, ok := j.scans[scanID]; ok {
+		j.dropLocked(sb)
+		delete(j.scans, scanID)
+	}
+}
+
+// NeedsCompaction reports whether a compaction would drop at least as
+// many bytes as it rewrites, and at least floor bytes: garbage >=
+// max(floor, live). Always false once the journal is degraded.
+func (j *Journal) NeedsCompaction(floor int64) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return !j.degraded && j.garbage >= max(floor, j.live)
 }
 
 // syncDirLocked fsyncs the journal directory, making the snapshot
@@ -424,31 +548,34 @@ func (j *Journal) syncDirLocked() error {
 	return d.Sync()
 }
 
-// writeSnapshotLocked writes and fsyncs one snapshot file.
-func (j *Journal) writeSnapshotLocked(path string, recs []Record) error {
+// writeSnapshotLocked writes and fsyncs one snapshot file, returning
+// each record's line length.
+func (j *Journal) writeSnapshotLocked(path string, recs []Record) ([]int64, error) {
 	if err := j.faultLocked("snapshot", path); err != nil {
-		return err
+		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	lens := make([]int64, 0, len(recs))
 	for _, r := range recs {
 		line, err := encodeLine(r)
 		if err != nil {
 			f.Close()
-			return err
+			return nil, err
 		}
 		if _, err := f.Write(line); err != nil {
 			f.Close()
-			return err
+			return nil, err
 		}
+		lens = append(lens, int64(len(line)))
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
-	return f.Close()
+	return lens, f.Close()
 }
 
 // faultLocked consults the test-only disk fault hook.
@@ -463,7 +590,6 @@ func (j *Journal) faultLocked(op, path string) error {
 // failure; caller holds j.mu. The triggering error is returned so the
 // caller can log it.
 func (j *Journal) degradeLocked(err error) error {
-	j.count("journal_append_errors_total")
 	if !j.degraded {
 		j.degraded = true
 		j.degradedErr = err
@@ -485,12 +611,20 @@ func (j *Journal) Degraded() (bool, error) {
 	return j.degraded, j.degradedErr
 }
 
-// WALBytes returns the current WAL size, the signal callers use to
-// decide when to Compact.
-func (j *Journal) WALBytes() int64 {
+// Usage is a point-in-time view of the journal's size.
+type Usage struct {
+	// WALBytes is the current WAL size.
+	WALBytes int64
+	// LiveBytes and GarbageBytes split the snapshot and WAL: what the
+	// next compaction would keep and what it would drop.
+	LiveBytes, GarbageBytes int64
+}
+
+// Usage reports the journal's current size and live/garbage split.
+func (j *Journal) Usage() Usage {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.walBytes
+	return Usage{WALBytes: j.walBytes, LiveBytes: j.live, GarbageBytes: j.garbage}
 }
 
 // Close fsyncs and closes the WAL. The journal must not be used after.

@@ -167,7 +167,7 @@ func TestCompactionShrinksWALAndPreservesState(t *testing.T) {
 		j.Append(Record{Type: RecStarted, ScanID: id, Attempt: 1})
 		j.Append(Record{Type: RecCompleted, ScanID: id})
 	}
-	if j.WALBytes() == 0 {
+	if j.Usage().WALBytes == 0 {
 		t.Fatal("WAL empty before compaction")
 	}
 	// Live state: two records per scan instead of three.
@@ -181,8 +181,8 @@ func TestCompactionShrinksWALAndPreservesState(t *testing.T) {
 	if err := j.Compact(live); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	if j.WALBytes() != 0 {
-		t.Fatalf("WAL bytes after compaction = %d, want 0", j.WALBytes())
+	if j.Usage().WALBytes != 0 {
+		t.Fatalf("WAL bytes after compaction = %d, want 0", j.Usage().WALBytes)
 	}
 	// Post-compaction appends land in the WAL and replay after it.
 	if err := j.Append(Record{Type: RecAccepted, ScanID: "fresh"}); err != nil {
@@ -414,4 +414,199 @@ func TestSyncEveryBatchesFsyncs(t *testing.T) {
 	if n := rec.Snapshot().Counters["journal_fsyncs_total"]; n != 3 {
 		t.Errorf("journal_fsyncs_total after close = %d, want 3", n)
 	}
+}
+
+// appendSize appends r and returns the length of the line it wrote.
+func appendSize(t *testing.T, j *Journal, r Record) int64 {
+	t.Helper()
+	before := j.Usage().WALBytes
+	if err := j.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	return j.Usage().WALBytes - before
+}
+
+// checkUsage fails unless the journal's live/garbage split is exactly
+// live and garbage, and the split covers every byte on disk.
+func checkUsage(t *testing.T, j *Journal, live, garbage int64) {
+	t.Helper()
+	u := j.Usage()
+	if u.LiveBytes != live || u.GarbageBytes != garbage {
+		t.Errorf("usage live=%d garbage=%d, want live=%d garbage=%d", u.LiveBytes, u.GarbageBytes, live, garbage)
+	}
+	if disk := diskBytes(t, j.dir); u.LiveBytes+u.GarbageBytes != disk {
+		t.Errorf("live+garbage = %d, want the %d bytes on disk", u.LiveBytes+u.GarbageBytes, disk)
+	}
+}
+
+// diskBytes is the size of a journal directory's snapshot and WAL.
+func diskBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var n int64
+	for _, name := range []string{snapName, walName} {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
+}
+
+func TestAccountingSplitsLiveFromGarbage(t *testing.T) {
+	t.Parallel()
+	j, _ := openT(t, t.TempDir(), Options{})
+	defer j.Close()
+	payload, _ := json.Marshal(strings.Repeat("source ", 64))
+	acc := appendSize(t, j, Record{Type: RecAccepted, ScanID: "s1", Payload: payload})
+	checkUsage(t, j, acc, 0)
+	st := appendSize(t, j, Record{Type: RecStarted, ScanID: "s1", Attempt: 1})
+	af := appendSize(t, j, Record{Type: RecAttemptFailed, ScanID: "s1", Attempt: 1, Error: "deadline"})
+	st2 := appendSize(t, j, Record{Type: RecStarted, ScanID: "s1", Attempt: 2})
+	fin := appendSize(t, j, Record{Type: RecCompleted, ScanID: "s1", Payload: payload})
+	checkUsage(t, j, acc+fin, st+af+st2)
+	// Records of a scan with no accepted record are garbage too.
+	orphan := appendSize(t, j, Record{Type: RecCompleted, ScanID: "ghost"})
+	// Fleet membership is live.
+	member := appendSize(t, j, Record{Type: RecFleetMember, Worker: "http://w1"})
+	checkUsage(t, j, acc+fin+member, st+af+st2+orphan)
+	if j.NeedsCompaction(0) {
+		t.Error("NeedsCompaction with garbage < live")
+	}
+}
+
+func TestReacceptanceRetiresOldPair(t *testing.T) {
+	t.Parallel()
+	j, _ := openT(t, t.TempDir(), Options{})
+	defer j.Close()
+	acc := appendSize(t, j, Record{Type: RecAccepted, ScanID: "s1"})
+	q := appendSize(t, j, Record{Type: RecQuarantined, ScanID: "s1", Error: "crashed"})
+	// The manual retry path: a fresh accepted record, then a final one.
+	acc2 := appendSize(t, j, Record{Type: RecAccepted, ScanID: "s1"})
+	checkUsage(t, j, acc2, acc+q)
+	fin := appendSize(t, j, Record{Type: RecCompleted, ScanID: "s1"})
+	checkUsage(t, j, acc2+fin, acc+q)
+	// A later final record supersedes the earlier one.
+	fin2 := appendSize(t, j, Record{Type: RecCompleted, ScanID: "s1", Error: "cancelled"})
+	checkUsage(t, j, acc2+fin2, acc+q+fin)
+}
+
+func TestRetireMovesScanToGarbage(t *testing.T) {
+	t.Parallel()
+	j, _ := openT(t, t.TempDir(), Options{})
+	defer j.Close()
+	acc := appendSize(t, j, Record{Type: RecAccepted, ScanID: "s1"})
+	fin := appendSize(t, j, Record{Type: RecCompleted, ScanID: "s1"})
+	keep := appendSize(t, j, Record{Type: RecAccepted, ScanID: "s2"})
+	j.Retire("unknown")
+	checkUsage(t, j, acc+fin+keep, 0)
+	j.Retire("s1")
+	checkUsage(t, j, keep, acc+fin)
+	j.Retire("s1")
+	checkUsage(t, j, keep, acc+fin)
+	if !j.NeedsCompaction(1) {
+		t.Error("NeedsCompaction false with garbage >= max(floor, live)")
+	}
+	if j.NeedsCompaction(acc + fin + 1) {
+		t.Error("NeedsCompaction true with garbage below the floor")
+	}
+}
+
+func TestCompactZeroesGarbage(t *testing.T) {
+	t.Parallel()
+	rec := obs.NewRecorder()
+	j, _ := openT(t, t.TempDir(), Options{Recorder: rec})
+	defer j.Close()
+	var live []Record
+	for i := 0; i < 5; i++ {
+		id := fmt.Sprintf("s%d", i)
+		j.Append(Record{Type: RecAccepted, ScanID: id})
+		j.Append(Record{Type: RecStarted, ScanID: id, Attempt: 1})
+		j.Append(Record{Type: RecCompleted, ScanID: id})
+		if i%2 == 0 {
+			j.Retire(id)
+			continue
+		}
+		live = append(live, Record{Type: RecAccepted, ScanID: id}, Record{Type: RecCompleted, ScanID: id})
+	}
+	if err := j.Compact(live); err != nil {
+		t.Fatal(err)
+	}
+	snap := diskBytes(t, j.dir)
+	checkUsage(t, j, snap, 0)
+	if j.NeedsCompaction(0) {
+		t.Error("NeedsCompaction right after a compaction")
+	}
+	if got := rec.Snapshot().Counters["journal_compacted_bytes_total"]; got != snap {
+		t.Errorf("journal_compacted_bytes_total = %d, want the %d-byte snapshot", got, snap)
+	}
+	// Snapshot records stay attributed to their scans.
+	j.Retire("s1")
+	if u := j.Usage(); u.GarbageBytes == 0 || u.LiveBytes >= snap {
+		t.Errorf("retiring a snapshot scan moved nothing: %+v", u)
+	}
+}
+
+func TestOpenRestoresAccounting(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	j, _ := openT(t, dir, Options{})
+	j.Append(Record{Type: RecAccepted, ScanID: "s1"})
+	j.Append(Record{Type: RecStarted, ScanID: "s1", Attempt: 1})
+	j.Append(Record{Type: RecCompleted, ScanID: "s1"})
+	if err := j.Compact([]Record{
+		{Type: RecAccepted, ScanID: "s1"},
+		{Type: RecCompleted, ScanID: "s1"},
+		{Type: RecAccepted, ScanID: "s2"},
+		{Type: RecAttemptFailed, ScanID: "s2", Attempt: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Post-compaction traffic: s2 settles (superseding its snapshot
+	// attempt marker), s1 is retried, s3 arrives, a worker joins.
+	for _, r := range []Record{
+		{Type: RecStarted, ScanID: "s2", Attempt: 2},
+		{Type: RecCompleted, ScanID: "s2"},
+		{Type: RecAccepted, ScanID: "s1"},
+		{Type: RecAccepted, ScanID: "s3"},
+		{Type: RecAttemptFailed, ScanID: "s3", Attempt: 1},
+		{Type: RecFleetMember, Worker: "http://w1"},
+	} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	running := j.Usage()
+	if running.GarbageBytes == 0 {
+		t.Fatal("no garbage before the crash")
+	}
+	j.Close() // the crash: no compaction on the way down
+
+	j2, _ := openT(t, dir, Options{})
+	if got := j2.Usage(); got != running {
+		t.Errorf("reopened usage = %+v, running journal had %+v", got, running)
+	}
+	j2.Close()
+
+	// A crash between the snapshot rename and the WAL reset leaves WAL
+	// records the snapshot absorbed: they are garbage.
+	preWAL, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j3, _ := openT(t, dir, Options{})
+	if err := j3.Compact([]Record{{Type: RecAccepted, ScanID: "s3"}}); err != nil {
+		t.Fatal(err)
+	}
+	snap := j3.Usage().LiveBytes
+	j3.Close()
+	if err := os.WriteFile(filepath.Join(dir, walName), preWAL, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j4, _ := openT(t, dir, Options{})
+	defer j4.Close()
+	checkUsage(t, j4, snap, int64(len(preWAL)))
 }

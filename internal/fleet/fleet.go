@@ -252,11 +252,10 @@ func (f *Fleet) AddWorker(addr string) bool {
 	f.rec.Events().Append(obs.Event{Type: EvWorkerJoined, Detail: addr})
 	f.log.Info("fleet worker joined", "worker", addr)
 	if f.cfg.Journal != nil {
-		if err := f.cfg.Journal.Append(durable.Record{
+		// A failed append is counted by the journal itself.
+		f.cfg.Journal.Append(durable.Record{
 			Type: durable.RecFleetMember, Time: f.rec.Now(), Worker: addr,
-		}); err != nil {
-			f.rec.Counter("journal_append_errors_total").Inc()
-		}
+		})
 	}
 	return true
 }

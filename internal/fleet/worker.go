@@ -153,11 +153,10 @@ func (wk *Worker) journalSettledLocked(coordID, workerScanID, state string) {
 		return
 	}
 	raw, _ := json.Marshal(settlePayload{State: state, WorkerScanID: workerScanID})
-	if err := wk.cfg.Journal.Append(durable.Record{
+	// A failed append is counted by the journal itself.
+	wk.cfg.Journal.Append(durable.Record{
 		Type: durable.RecDispatchSettled, ScanID: coordID, Payload: raw,
-	}); err != nil {
-		wk.rec().Counter("journal_append_errors_total").Inc()
-	}
+	})
 }
 
 // rec returns the worker's recorder (nil-safe: obs recorders accept a
@@ -197,12 +196,10 @@ func (wk *Worker) handleDispatch(w http.ResponseWriter, r *http.Request) {
 	wk.mu.Unlock()
 	if isNew && wk.cfg.Journal != nil && wire.ScanID != "" {
 		raw, _ := json.Marshal(wire)
-		if err := wk.cfg.Journal.Append(durable.Record{
+		wk.cfg.Journal.Append(durable.Record{
 			Type: durable.RecDispatchStarted, ScanID: wire.ScanID,
 			Attempt: wire.Attempt, Payload: raw,
-		}); err != nil {
-			wk.rec().Counter("journal_append_errors_total").Inc()
-		}
+		})
 	}
 
 	id, status, body := wk.api.Accept(specFromWire(&wire))

@@ -103,18 +103,16 @@ func (s *Server) journalLocked(r durable.Record) {
 	if r.Time.IsZero() {
 		r.Time = s.now()
 	}
-	if err := s.cfg.Journal.Append(r); err != nil {
-		s.rec.Counter("journal_append_errors_total").Inc()
-	}
+	// A failed append is counted by the journal itself.
+	s.cfg.Journal.Append(r)
 }
 
-// maybeCompact snapshots the journal when the WAL has outgrown the
-// configured threshold. Called after a scan settles, off the s.mu lock.
+// maybeCompact snapshots the journal once it holds enough garbage
+// (superseded, attempt and evicted-scan records) to outweigh both its
+// live bytes and CompactWALBytes, so a compaction never rewrites more
+// than it reclaims. Called after a scan settles, off the s.mu lock.
 func (s *Server) maybeCompact() {
-	if s.cfg.Journal == nil {
-		return
-	}
-	if s.cfg.Journal.WALBytes() < s.cfg.CompactWALBytes {
+	if s.cfg.Journal == nil || !s.cfg.Journal.NeedsCompaction(s.cfg.CompactWALBytes) {
 		return
 	}
 	s.CompactJournal()
@@ -125,7 +123,7 @@ func (s *Server) maybeCompact() {
 // accepted record per tracked scan, a final record for settled ones,
 // and an attempt_failed marker preserving an unsettled scan's spent
 // budget — so compaction also garbage-collects records of evicted
-// scans.
+// scans. The journal counts the compaction (or its failure).
 func (s *Server) CompactJournal() {
 	if s.cfg.Journal == nil {
 		return
@@ -167,11 +165,18 @@ func (s *Server) CompactJournal() {
 		live = append(live, s.cfg.ExtraLiveRecords()...)
 	}
 
-	if err := s.cfg.Journal.Compact(live); err != nil {
-		s.rec.Counter("journal_compact_errors_total").Inc()
+	if s.cfg.Journal.Compact(live) != nil {
 		return
 	}
-	s.rec.Counter("journal_compactions_total").Inc()
+	// A scan evicted after the live set was built was retired in the
+	// accounting Compact just replaced; retire it again.
+	s.mu.Lock()
+	for _, r := range live {
+		if r.ScanID != "" && s.scans[r.ScanID] == nil {
+			s.cfg.Journal.Retire(r.ScanID)
+		}
+	}
+	s.mu.Unlock()
 }
 
 // Replay rebuilds the scan registry from a journal's replayed records
@@ -347,10 +352,9 @@ func settledState(st scanState) bool {
 func (s *Server) evictScansLocked() {
 	if s.cfg.ScanTTL > 0 {
 		cutoff := s.now().Add(-s.cfg.ScanTTL)
-		for id, sc := range s.scans {
+		for _, sc := range s.scans {
 			if settledState(sc.State) && !sc.Finished.IsZero() && sc.Finished.Before(cutoff) {
-				delete(s.scans, id)
-				s.rec.Counter("scans_evicted_total").Inc()
+				s.evictLocked(sc)
 			}
 		}
 	}
@@ -369,9 +373,19 @@ func (s *Server) evictScansLocked() {
 			// bounded queue keeps this transient.
 			return
 		}
-		delete(s.scans, victim.ID)
-		s.rec.Counter("scans_evicted_total").Inc()
+		s.evictLocked(victim)
 	}
+}
+
+// evictLocked drops sc from the registry and retires its journal
+// records, so they count toward the next compaction. Caller holds s.mu
+// (lock order: s.mu before the journal's own lock).
+func (s *Server) evictLocked(sc *scan) {
+	delete(s.scans, sc.ID)
+	if s.cfg.Journal != nil {
+		s.cfg.Journal.Retire(sc.ID)
+	}
+	s.rec.Counter("scans_evicted_total").Inc()
 }
 
 // handleQuarantine lists dead-lettered scans, oldest first.

@@ -20,16 +20,18 @@ import (
 
 // newJournalEnv starts a test daemon journaling into dir, replaying
 // whatever the journal already holds before serving traffic — the
-// daemon's restart sequence, in-process.
+// daemon's restart sequence, in-process. The journal shares the
+// daemon's recorder, as in phpsafed.
 func newJournalEnv(t *testing.T, dir string, mutate ...func(*Config)) *env {
 	t.Helper()
-	j, records, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatalf("opening journal: %v", err)
-	}
-	t.Cleanup(func() { j.Close() })
+	var records []durable.Record
 	e := newEnv(t, 1, 16, append([]func(*Config){func(cfg *Config) {
-		cfg.Journal = j
+		j, recs, err := durable.Open(dir, durable.Options{Recorder: cfg.Recorder})
+		if err != nil {
+			t.Fatalf("opening journal: %v", err)
+		}
+		t.Cleanup(func() { j.Close() })
+		cfg.Journal, records = j, recs
 	}}, mutate...)...)
 	e.srv.Replay(records)
 	return e
@@ -479,9 +481,9 @@ func TestCompactionKeepsRegistryReplayable(t *testing.T) {
 	if done.Status != stateDone {
 		t.Fatalf("scan = %+v", done)
 	}
-	before := e1.srv.cfg.Journal.WALBytes()
+	before := e1.srv.cfg.Journal.Usage().WALBytes
 	e1.srv.CompactJournal()
-	if after := e1.srv.cfg.Journal.WALBytes(); after >= before {
+	if after := e1.srv.cfg.Journal.Usage().WALBytes; after >= before {
 		t.Errorf("WAL bytes after compaction = %d, want < %d", after, before)
 	}
 	e1.crash(t)

@@ -42,7 +42,9 @@
 //	                           ?format=json)
 //
 // When Config.Journal is set, every scan lifecycle transition is
-// journaled before the client sees it, and Replay rebuilds the
+// journaled (acceptance before the client's 202, a settle just after
+// it becomes visible; a crash in that gap re-runs the scan on replay,
+// with an identical result), and Replay rebuilds the
 // registry after a crash: finished scans are rehydrated from their
 // persisted results (and re-seeded into the cache, so resubmitting
 // pre-crash content stays byte-identical), unsettled scans are
@@ -134,9 +136,10 @@ type Config struct {
 	// ScanTTL, when positive, additionally evicts finished scans older
 	// than this at insertion sweeps.
 	ScanTTL time.Duration
-	// CompactWALBytes is the journal size that triggers a
-	// snapshot+compaction after a scan settles
-	// (DefaultCompactWALBytes when 0).
+	// CompactWALBytes is the minimum garbage (superseded, attempt and
+	// evicted-scan records) the journal must hold before a scan's settle
+	// triggers a snapshot+compaction; the garbage must also outweigh the
+	// live bytes (DefaultCompactWALBytes when 0).
 	CompactWALBytes int64
 	// Logger receives structured scan lifecycle logs (accept, attempt,
 	// retry, settle, replay), each line carrying scan_id and component
@@ -218,8 +221,8 @@ type DispatchResult struct {
 // long-lived daemon's memory stays flat.
 const DefaultMaxScans = 4096
 
-// DefaultCompactWALBytes triggers journal compaction once the WAL
-// outgrows it.
+// DefaultCompactWALBytes is the garbage floor below which the journal
+// is never compacted.
 const DefaultCompactWALBytes = 4 << 20
 
 // scanState is a job's lifecycle position.
@@ -682,6 +685,10 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 		s.mu.Lock()
 		delete(s.scans, sc.ID)
 		delete(s.active, key)
+		if s.cfg.Journal != nil {
+			// A compaction in the window above may have snapshotted it.
+			s.cfg.Journal.Retire(sc.ID)
+		}
 		s.mu.Unlock()
 		s.recordEvent(obs.Event{Scan: sc.ID, Type: evRejected, Err: err.Error()})
 		switch {
@@ -1138,19 +1145,23 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("scan is %s; %s is only available for finished scans", view.Status, format))
 		return
 	}
+	// Render into memory and record the event before writing the body:
+	// a client that has read the report must find it in the trace, and
+	// render_seconds must not include the client's socket.
 	renderStart := s.now()
+	var data []byte
+	var contentType string
 	switch format {
 	case "sarif":
-		data, err := report.SARIF(view.Result)
-		if err != nil {
+		var err error
+		if data, err = report.SARIF(view.Result); err != nil {
 			s.error(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		w.Header().Set("Content-Type", "application/sarif+json")
-		w.Write(data)
+		contentType = "application/sarif+json"
 	case "html":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		io.WriteString(w, report.HTML(view.Result))
+		data = []byte(report.HTML(view.Result))
+		contentType = "text/html; charset=utf-8"
 	default:
 		s.error(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want json, sarif or html)", format))
 		return
@@ -1160,6 +1171,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.recordEvent(obs.Event{
 		Scan: view.ID, Type: evRendered, Detail: format, DurMS: elapsed.Milliseconds(),
 	})
+	w.Header().Set("Content-Type", contentType)
+	w.Write(data)
 }
 
 // engineFingerprint returns the engine's self-reported configuration
@@ -1219,10 +1232,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.cfg.Journal != nil {
 		degraded, jerr := s.cfg.Journal.Degraded()
+		u := s.cfg.Journal.Usage()
 		j := map[string]any{
-			"enabled":   true,
-			"degraded":  degraded,
-			"wal_bytes": s.cfg.Journal.WALBytes(),
+			"enabled":       true,
+			"degraded":      degraded,
+			"wal_bytes":     u.WALBytes,
+			"live_bytes":    u.LiveBytes,
+			"garbage_bytes": u.GarbageBytes,
 		}
 		if degraded {
 			status = "degraded"
