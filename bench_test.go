@@ -21,15 +21,14 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
-	"repro/internal/config"
 	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/incremental"
 	"repro/internal/pixy"
 	"repro/internal/report"
 	"repro/internal/rips"
+	"repro/internal/rulepack"
 	"repro/internal/taint"
-	"repro/internal/wordpress"
 )
 
 // corpora caches the generated corpus pair for all benchmarks.
@@ -181,9 +180,9 @@ func BenchmarkTableIII(b *testing.B) {
 		mk   func() analyzer.Analyzer
 	}{
 		{"phpSAFE", func() analyzer.Analyzer {
-			return taint.New(wordpress.Compiled(), taint.DefaultOptions())
+			return taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 		}},
-		{"RIPS", func() analyzer.Analyzer { return rips.NewDefault() }},
+		{"RIPS", func() analyzer.Analyzer { return rips.New(rulepack.MustCompile("generic")) }},
 		{"Pixy", func() analyzer.Analyzer { return pixy.New() }},
 	}
 	versions := []struct {
@@ -224,7 +223,7 @@ func BenchmarkTableIII(b *testing.B) {
 func ablationTP(b *testing.B, opts taint.Options) int {
 	b.Helper()
 	c12, _ := corpora()
-	engine := taint.New(wordpress.Compiled(), opts)
+	engine := taint.New(rulepack.MustCompile("wordpress"), opts)
 	run, err := eval.Run(context.Background(), engine, c12, eval.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -248,7 +247,7 @@ func BenchmarkAblationSummaries(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			opts := taint.DefaultOptions()
 			opts.FunctionSummaries = mode.summaries
-			engine := taint.New(wordpress.Compiled(), opts)
+			engine := taint.New(rulepack.MustCompile("wordpress"), opts)
 			b.ReportMetric(float64(ablationTP(b, opts)), "TP")
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -310,7 +309,7 @@ func BenchmarkAblationUncalled(b *testing.B) {
 }
 
 // BenchmarkAblationCMSProfile quantifies §III.A: running phpSAFE with
-// only generic PHP knowledge (no WordPress profile) loses the framework
+// only generic PHP knowledge (no wordpress pack) loses the framework
 // sources and sanitizers.
 func BenchmarkAblationCMSProfile(b *testing.B) {
 	c12, _ := corpora()
@@ -319,10 +318,10 @@ func BenchmarkAblationCMSProfile(b *testing.B) {
 		mk   func() analyzer.Analyzer
 	}{
 		{"wordpress-profile", func() analyzer.Analyzer {
-			return taint.New(wordpress.Compiled(), taint.DefaultOptions())
+			return taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 		}},
 		{"generic-only", func() analyzer.Analyzer {
-			return taint.New(configGenericCompiled(), taint.DefaultOptions())
+			return taint.New(rulepack.MustCompile("generic"), taint.DefaultOptions())
 		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
@@ -349,12 +348,6 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// configGenericCompiled builds the generic-PHP-only configuration for the
-// CMS-profile ablation.
-func configGenericCompiled() *config.Compiled {
-	return config.Compile(config.Generic())
 }
 
 // BenchmarkIncrementalRescan measures the incremental subsystem's core

@@ -8,7 +8,8 @@
 //	phpsafe -diff [flags] <old-dir> <new-dir>
 //	phpsafe rules lint [FILE...]
 //
-//	-profile wordpress|generic   configuration profile (default wordpress)
+//	-profile SPEC                rule-pack spec: comma-separated pack
+//	                             names (default wordpress)
 //	-packs LIST                  comma-separated rule packs to scan with,
 //	                             overriding -profile (builtin packs:
 //	                             generic, wordpress, drupal, joomla,
@@ -101,7 +102,7 @@ func main() {
 
 // run parses flags, loads the target and scans it.
 func run() int {
-	profile := flag.String("profile", "wordpress", "configuration profile: wordpress or generic")
+	profile := flag.String("profile", "wordpress", "rule-pack spec: comma-separated pack names (wordpress, generic, drupal, ...)")
 	packSpec := flag.String("packs", "", "comma-separated rule packs to scan with (overrides -profile)")
 	var packFiles stringList
 	flag.Var(&packFiles, "rule-pack", "load a rule pack from this JSON file and append it to the pack spec (repeatable)")

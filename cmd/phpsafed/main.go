@@ -22,9 +22,6 @@
 //	                    e.g. http://10.0.0.2:8477,http://10.0.0.3:8477.
 //	                    Optional when workers auto-register with -join;
 //	                    journaled members are merged in on restart
-//	-workers N|URLS     deprecated alias: worker count for
-//	                    standalone/worker roles, worker URLs for the
-//	                    coordinator. Use -pool-workers / -fleet-workers
 //	-join URL           worker: coordinator base URL to announce to
 //	                    (retries with backoff, then re-announces
 //	                    periodically); requires -advertise
@@ -117,7 +114,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -142,7 +138,6 @@ func run() int {
 	role := flag.String("role", "standalone", "process role: standalone, coordinator or worker")
 	poolWorkersFlag := flag.Int("pool-workers", 0, "scan worker goroutines (0 = NumCPU; coordinator: sized by fleet width)")
 	fleetWorkersFlag := flag.String("fleet-workers", "", "coordinator: comma-separated worker base URLs (optional with auto-registration)")
-	workersFlag := flag.String("workers", "0", "deprecated alias: worker count (standalone/worker) or worker URLs (coordinator); use -pool-workers / -fleet-workers")
 	joinURL := flag.String("join", "", "worker: coordinator base URL to announce to (requires -advertise)")
 	advertise := flag.String("advertise", "", "worker: base URL this worker serves on, reported in heartbeats and announced via -join")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "coordinator: duplicate a dispatch to the next ring owner after this delay (0 = off)")
@@ -184,43 +179,16 @@ func run() int {
 	dlog := logger.With("component", "phpsafed")
 
 	// Resolve the role before building anything: it decides which
-	// layers this process runs. -workers is a deprecated dual-mode
-	// alias (count or URL list depending on role); the split flags win
-	// when both are given.
-	workersSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
-		}
-	})
-	if workersSet {
-		dlog.Warn("-workers is deprecated; use -pool-workers (goroutine count) and -fleet-workers (worker URLs)")
-	}
-	splitURLs := func(s string) []string {
-		var out []string
-		for _, u := range strings.Split(s, ",") {
-			if u = strings.TrimSpace(u); u != "" && u != "0" {
-				out = append(out, strings.TrimRight(u, "/"))
-			}
-		}
-		return out
-	}
+	// layers this process runs.
 	var fleetWorkers []string
 	poolWorkers := *poolWorkersFlag
 	switch *role {
 	case "standalone", "worker":
-		if workersSet && poolWorkers == 0 {
-			n, perr := strconv.Atoi(*workersFlag)
-			if perr != nil || n < 0 {
-				fmt.Fprintf(os.Stderr, "phpsafed: -role=%s needs -workers to be a worker count, got %q\n", *role, *workersFlag)
-				return 2
-			}
-			poolWorkers = n
-		}
 	case "coordinator":
-		fleetWorkers = splitURLs(*fleetWorkersFlag)
-		if len(fleetWorkers) == 0 && workersSet {
-			fleetWorkers = splitURLs(*workersFlag)
+		for _, u := range strings.Split(*fleetWorkersFlag, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				fleetWorkers = append(fleetWorkers, strings.TrimRight(u, "/"))
+			}
 		}
 		if len(fleetWorkers) == 0 && *journalDir == "" {
 			dlog.Warn("coordinator starting with no workers; the fleet is empty until workers announce via -join")

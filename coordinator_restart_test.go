@@ -105,8 +105,7 @@ func TestCoordinatorRestartAdoptsInflight(t *testing.T) {
 
 	// Workers: single pool slot so the batch queues deep (scans still in
 	// flight when the coordinator dies), each with its own dispatch
-	// journal. -pool-workers is the new spelling of the old -workers
-	// count.
+	// journal.
 	worker1 := start("-role=worker", "-addr", w1Addr, "-pool-workers", "1", "-queue", "32",
 		"-advertise", "http://"+w1Addr, "-journal", w1Journal)
 	defer stop(worker1)

@@ -71,7 +71,7 @@ func TestCrashRecoveryAcrossSIGKILL(t *testing.T) {
 	var logs syncBuffer
 	start := func() *exec.Cmd {
 		cmd := exec.Command(filepath.Join(bins, "phpsafed"),
-			"-addr", addr, "-workers", "1", "-queue", "32",
+			"-addr", addr, "-pool-workers", "1", "-queue", "32",
 			"-journal", journal,
 			"-max-attempts", "2", "-retry-base", "10ms", "-retry-cap", "50ms")
 		cmd.Stdout = &logs

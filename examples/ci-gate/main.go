@@ -18,8 +18,8 @@ import (
 	"os"
 
 	"repro/internal/analyzer"
+	"repro/internal/rulepack"
 	"repro/internal/taint"
-	"repro/internal/wordpress"
 )
 
 // baselineRevision is the plugin as currently shipped (with a known,
@@ -44,7 +44,7 @@ gallery_show();
 `
 
 func main() {
-	engine := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	engine := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 
 	baseline := mustScan(engine, "gallery", baselineRevision)
 	accepted := make(map[string]bool, len(baseline.Findings))

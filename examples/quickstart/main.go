@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/report"
+	"repro/internal/rulepack"
 	"repro/internal/taint"
-	"repro/internal/wordpress"
 )
 
 // pluginSource is a condensed vulnerable plugin, adapted from the
@@ -51,7 +51,7 @@ func main() {
 	// phpSAFE ships ready for WordPress plugins out of the box (§III.A):
 	// generic PHP knowledge plus the WordPress sources, sanitizers and
 	// sinks.
-	engine := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	engine := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 
 	target := &analyzer.Target{
 		Name: "mail-subscribe-demo",

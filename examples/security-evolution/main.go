@@ -15,8 +15,8 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/corpus"
 	"repro/internal/evolution"
+	"repro/internal/rulepack"
 	"repro/internal/taint"
-	"repro/internal/wordpress"
 )
 
 func main() {
@@ -32,7 +32,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	engine := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	engine := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 	oldRes := mustAnalyze(engine, old)
 	newRes := mustAnalyze(engine, now)
 

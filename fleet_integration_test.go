@@ -99,10 +99,10 @@ func TestFleetKillWorkerMidScan(t *testing.T) {
 
 	// Workers run a single pool slot each so the batch queues deep and
 	// the kill lands with scans in flight and queued on the victim.
-	worker1 := start("-role=worker", "-addr", w1Addr, "-workers", "1", "-queue", "32",
+	worker1 := start("-role=worker", "-addr", w1Addr, "-pool-workers", "1", "-queue", "32",
 		"-advertise", "http://"+w1Addr)
 	defer stop(worker1)
-	worker2 := start("-role=worker", "-addr", w2Addr, "-workers", "1", "-queue", "32",
+	worker2 := start("-role=worker", "-addr", w2Addr, "-pool-workers", "1", "-queue", "32",
 		"-advertise", "http://"+w2Addr)
 	killed := false
 	defer func() {
@@ -114,7 +114,7 @@ func TestFleetKillWorkerMidScan(t *testing.T) {
 	waitHealthy(w2Addr)
 
 	coord := start("-role=coordinator", "-addr", coordAddr,
-		"-workers", "http://"+w1Addr+",http://"+w2Addr,
+		"-fleet-workers", "http://"+w1Addr+",http://"+w2Addr,
 		"-journal", journal, "-queue", "64",
 		"-heartbeat-interval", "100ms",
 		"-max-attempts", "6", "-retry-base", "20ms", "-retry-cap", "200ms")
@@ -122,7 +122,7 @@ func TestFleetKillWorkerMidScan(t *testing.T) {
 	waitHealthy(coordAddr)
 
 	// Standalone baseline daemon for byte-identity.
-	solo := start("-addr", soloAddr, "-workers", "1", "-queue", "64")
+	solo := start("-addr", soloAddr, "-pool-workers", "1", "-queue", "64")
 	defer stop(solo)
 	waitHealthy(soloAddr)
 

@@ -14,8 +14,8 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/evolution"
+	"repro/internal/rulepack"
 	"repro/internal/taint"
-	"repro/internal/wordpress"
 )
 
 // writeTarget materializes one plugin to disk the way cmd/corpusgen does.
@@ -53,7 +53,7 @@ func TestDiskRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d files, want %d", len(loaded.Files), len(target.Files))
 	}
 
-	engine := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	engine := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 	memRes, err := engine.Analyze(target)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestAllToolsOnDiskTarget(t *testing.T) {
 func TestEvolutionPipelineOverCorpus(t *testing.T) {
 	t.Parallel()
 	c12, c14 := corpus.MustGenerate()
-	engine := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	engine := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 
 	persisting, newTotal := 0, 0
 	for _, oldTarget := range c12.Targets {

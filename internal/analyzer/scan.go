@@ -118,9 +118,3 @@ type RobustnessFailure struct {
 	// Reason is the recovered panic value, formatted.
 	Reason string `json:"reason"`
 }
-
-// ContextAnalyzer is the historical name of the context-first contract
-// from the era when the interface also carried a legacy Analyze method.
-// Analyzer itself is now that contract; the alias keeps existing
-// declarations compiling.
-type ContextAnalyzer = Analyzer

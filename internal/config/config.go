@@ -4,11 +4,13 @@
 // class-vulnerable-filter.php and class-vulnerable_output.php — holding the
 // potentially malicious sources, the sanitization/revert functions, and the
 // sensitive output sinks, for generic PHP and for the WordPress framework.
-// This package is their Go equivalent: declarative Profile values plus a
-// Compiled form with constant-time lookups used by the analysis engines.
+// This package holds the types those rules load into: declarative Profile
+// values plus a Compiled form with constant-time lookups used by the
+// analysis engines. The rules themselves live in the JSON rule packs of
+// package rulepack, which resolve to a Profile.
 //
-// Profiles compose: the WordPress profile extends the generic PHP profile,
-// and callers can extend further for other CMSs (the paper's §VI names
+// Profiles compose: the wordpress pack extends the generic PHP pack, and
+// callers can extend further for other CMSs (the paper's §VI names
 // Drupal and Joomla as future work; see examples/custom-cms).
 package config
 
@@ -89,7 +91,7 @@ type Sink struct {
 
 // Profile is one named configuration layer.
 type Profile struct {
-	// Name identifies the profile (e.g. "generic-php", "wordpress").
+	// Name identifies the profile (e.g. "packs:generic+wordpress").
 	Name string
 	// Sources are the profile's input vectors.
 	Sources []Source

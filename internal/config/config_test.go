@@ -1,15 +1,27 @@
-package config
+package config_test
 
 import (
 	"testing"
 	"testing/quick"
 
 	"repro/internal/analyzer"
+	"repro/internal/config"
+	"repro/internal/rulepack"
 )
+
+// genericProfile resolves the builtin generic pack to its profile.
+func genericProfile(t *testing.T) config.Profile {
+	t.Helper()
+	p, err := rulepack.NewRegistry().Resolve("generic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 func TestGenericProfileLookups(t *testing.T) {
 	t.Parallel()
-	c := Compile(Generic())
+	c := rulepack.MustCompile("generic")
 
 	if src, ok := c.Superglobal("_GET"); !ok || src.Vector != analyzer.VectorGET {
 		t.Errorf("_GET lookup = %+v, %v", src, ok)
@@ -51,25 +63,25 @@ func TestGenericProfileLookups(t *testing.T) {
 	if len(sinks) != 1 || sinks[0].Vuln != analyzer.SQLi {
 		t.Errorf("mysql_query sinks = %+v", sinks)
 	}
-	if !SinkSensitiveArg(sinks[0], 0) || SinkSensitiveArg(sinks[0], 1) {
+	if !config.SinkSensitiveArg(sinks[0], 0) || config.SinkSensitiveArg(sinks[0], 1) {
 		t.Error("mysql_query should be sensitive in arg 0 only")
 	}
 }
 
 func TestMergeLayering(t *testing.T) {
 	t.Parallel()
-	base := Profile{
+	base := config.Profile{
 		Name:          "base",
-		Sources:       []Source{{Kind: SuperglobalSource, Name: "_GET", Vector: analyzer.VectorGET}},
+		Sources:       []config.Source{{Kind: config.SuperglobalSource, Name: "_GET", Vector: analyzer.VectorGET}},
 		ObjectClasses: map[string]string{"a": "ClassA"},
 	}
-	ext := Profile{
+	ext := config.Profile{
 		Name:          "ext",
-		Sanitizers:    []Sanitizer{{Name: "my_esc", Untaints: []analyzer.VulnClass{analyzer.XSS}}},
+		Sanitizers:    []config.Sanitizer{{Name: "my_esc", Untaints: []analyzer.VulnClass{analyzer.XSS}}},
 		ObjectClasses: map[string]string{"a": "ClassB", "b": "ClassC"},
 	}
-	merged := Merge("combo", base, ext)
-	c := Compile(merged)
+	merged := config.Merge("combo", base, ext)
+	c := config.Compile(merged)
 
 	if _, ok := c.Superglobal("_GET"); !ok {
 		t.Error("base source lost in merge")
@@ -87,16 +99,16 @@ func TestMergeLayering(t *testing.T) {
 
 func TestMethodLookupRules(t *testing.T) {
 	t.Parallel()
-	p := Profile{
+	p := config.Profile{
 		Name: "m",
-		Sources: []Source{
-			{Kind: MethodSource, Class: "wpdb", Name: "get_results", Vector: analyzer.VectorDB},
+		Sources: []config.Source{
+			{Kind: config.MethodSource, Class: "wpdb", Name: "get_results", Vector: analyzer.VectorDB},
 		},
-		Sinks: []Sink{
+		Sinks: []config.Sink{
 			{Class: "wpdb", Name: "query", Vuln: analyzer.SQLi, Args: []int{0}},
 		},
 	}
-	c := Compile(p)
+	c := config.Compile(p)
 
 	// Exact class match.
 	if _, ok := c.MethodSource("wpdb", "get_results"); !ok {
@@ -117,9 +129,9 @@ func TestMethodLookupRules(t *testing.T) {
 
 func TestCaseInsensitiveNames(t *testing.T) {
 	t.Parallel()
-	c := Compile(Profile{
+	c := config.Compile(config.Profile{
 		Name:       "case",
-		Sanitizers: []Sanitizer{{Name: "ESC_HTML"}},
+		Sanitizers: []config.Sanitizer{{Name: "ESC_HTML"}},
 		Reverts:    []string{"StripSlashes"},
 	})
 	if _, ok := c.FunctionSanitizer("esc_html"); !ok {
@@ -134,8 +146,9 @@ func TestCaseInsensitiveNames(t *testing.T) {
 // profile preserves lookup behavior for arbitrary names.
 func TestQuickMergeIdempotent(t *testing.T) {
 	t.Parallel()
-	base := Compile(Generic())
-	merged := Compile(Merge("again", Generic(), Profile{Name: "empty"}))
+	generic := genericProfile(t)
+	base := config.Compile(generic)
+	merged := config.Compile(config.Merge("again", generic, config.Profile{Name: "empty"}))
 	f := func(name string) bool {
 		_, a := base.FunctionSanitizer(name)
 		_, b := merged.FunctionSanitizer(name)
@@ -154,8 +167,8 @@ func TestQuickMergeIdempotent(t *testing.T) {
 func TestCompiledIsolation(t *testing.T) {
 	t.Parallel()
 	// Mutating the source profile after Compile must not affect lookups.
-	p := Generic()
-	c := Compile(p)
+	p := genericProfile(t)
+	c := config.Compile(p)
 	p.Sanitizers = nil
 	p.Reverts = nil
 	if _, ok := c.FunctionSanitizer("htmlentities"); !ok {

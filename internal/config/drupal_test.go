@@ -1,14 +1,15 @@
-package config
+package config_test
 
 import (
 	"testing"
 
 	"repro/internal/analyzer"
+	"repro/internal/rulepack"
 )
 
 func TestDrupalProfileLookups(t *testing.T) {
 	t.Parallel()
-	c := Compile(Merge("drupal", Generic(), Drupal()))
+	c := rulepack.MustCompile("drupal")
 
 	if src, ok := c.FunctionSource("db_fetch_object"); !ok || src.Vector != analyzer.VectorDB {
 		t.Errorf("db_fetch_object = %+v, %v", src, ok)

@@ -45,8 +45,8 @@ type Options struct {
 	// Under a worker pool it is invoked from worker goroutines but
 	// never concurrently.
 	Progress func(ev Progress)
-	// Budgets carries per-plugin resource budgets into every engine
-	// that implements analyzer.ContextAnalyzer; nil means defaults.
+	// Budgets carries per-plugin resource budgets into every engine;
+	// nil means defaults.
 	Budgets *analyzer.ScanOptions
 }
 

@@ -12,12 +12,12 @@ import (
 	"repro/internal/rips"
 	"repro/internal/rulepack"
 	"repro/internal/taint"
-	"repro/internal/wordpress"
 )
 
 // DefaultTools returns the paper's three tools in presentation order:
-// phpSAFE with its out-of-the-box WordPress configuration (§III.A), RIPS
-// with its generic-PHP knowledge, and Pixy frozen in 2007.
+// phpSAFE with its out-of-the-box WordPress configuration (the builtin
+// wordpress pack, §III.A), RIPS with its generic-PHP knowledge (the
+// generic pack), and Pixy frozen in 2007.
 func DefaultTools() []analyzer.Analyzer {
 	return ObservedTools(nil)
 }
@@ -28,8 +28,8 @@ func DefaultTools() []analyzer.Analyzer {
 // engines (identical to DefaultTools).
 func ObservedTools(rec *obs.Recorder) []analyzer.Analyzer {
 	return []analyzer.Analyzer{
-		taint.New(wordpress.Compiled(), taint.DefaultOptions()).WithRecorder(rec),
-		rips.NewDefault().WithRecorder(rec),
+		taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions()).WithRecorder(rec),
+		rips.New(rulepack.MustCompile("generic")).WithRecorder(rec),
 		pixy.New().WithRecorder(rec),
 	}
 }

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/corpus"
+	"repro/internal/rulepack"
 	"repro/internal/taint"
-	"repro/internal/wordpress"
 )
 
 // find builds a finding for matcher tests.
@@ -134,7 +134,7 @@ func TestCorpusEvolutionMatchesLabels(t *testing.T) {
 	t.Parallel()
 	c12, c14 := corpus.MustGenerate()
 	const plugin = "mail-subscribe-list"
-	engine := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	engine := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 
 	res12, err := engine.Analyze(c12.Target(plugin))
 	if err != nil {

@@ -40,7 +40,8 @@ type scanView struct {
 }
 
 // newWorker boots one fleet worker: a full server stack with a
-// single-attempt budget behind the worker handler.
+// single-attempt budget behind the worker handler, without a dispatch
+// journal or settle tracking.
 func newWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	rec := obs.NewRecorder()
@@ -51,7 +52,9 @@ func newWorker(t *testing.T) *httptest.Server {
 		Recorder: rec,
 		Retry:    jobs.RetryPolicy{MaxAttempts: 1},
 	})
-	ts := httptest.NewServer(NewWorkerHandler(api, pool, ""))
+	wk := NewWorker(WorkerConfig{})
+	wk.Bind(api, pool)
+	ts := httptest.NewServer(wk.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

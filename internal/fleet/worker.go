@@ -372,16 +372,3 @@ func specFromWire(wire *dispatchWire) server.SubmitSpec {
 		Target: target, Opts: wire.Opts,
 	}
 }
-
-// NewWorkerHandler wraps api with the fleet-internal endpoints, without
-// a dispatch journal or settle tracking.
-//
-// Deprecated: build a Worker (NewWorker, Bind, Handler) instead; it
-// adds the dispatch journal and the in-flight reconciliation table that
-// coordinator adoption depends on. This wrapper remains for callers
-// that only need dispatch + heartbeat.
-func NewWorkerHandler(api *server.Server, pool *jobs.Pool, advertise string) http.Handler {
-	wk := NewWorker(WorkerConfig{Advertise: advertise})
-	wk.Bind(api, pool)
-	return wk.Handler()
-}

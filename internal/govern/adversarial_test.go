@@ -22,16 +22,16 @@ import (
 	"repro/internal/govern"
 	"repro/internal/pixy"
 	"repro/internal/rips"
+	"repro/internal/rulepack"
 	"repro/internal/taint"
-	"repro/internal/wordpress"
 )
 
 // engines returns fresh instances of the three real engines; fresh per
 // test so recorded state never crosses tests.
 func engines() []analyzer.Analyzer {
 	return []analyzer.Analyzer{
-		taint.New(wordpress.Compiled(), taint.DefaultOptions()),
-		rips.NewDefault(),
+		taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions()),
+		rips.New(rulepack.MustCompile("generic")),
 		pixy.New(),
 	}
 }
@@ -107,7 +107,7 @@ func TestTinyBudgetsTruncateNotCrash(t *testing.T) {
 		loadFixture(t, "giant_inline_html.php"),
 		loadFixture(t, "wide_call.php"),
 	}}
-	eng := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	eng := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 	opts := &analyzer.ScanOptions{MaxSteps: 300, MaxParseDepth: 64}
 	res, err := eng.AnalyzeContext(context.Background(), target, opts)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestTinyBudgetsTruncateNotCrash(t *testing.T) {
 // minutes the full scan would take.
 func TestCancellationBounded(t *testing.T) {
 	giant := loadFixture(t, "giant_inline_html.php")
-	eng := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	eng := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 
 	// A fast machine can finish the whole target before a fixed sleep
 	// elapses, which proves nothing either way; grow the target until

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"repro/internal/analyzer"
+	"repro/internal/rulepack"
 	"repro/internal/taint"
-	"repro/internal/wordpress"
 )
 
 // FuzzGovernedAnalyze throws mutated PHP source at the richest engine
@@ -29,7 +29,7 @@ func FuzzGovernedAnalyze(f *testing.F) {
 		}
 	}
 
-	eng := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	eng := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 	opts := &analyzer.ScanOptions{
 		Deadline:      2 * time.Second,
 		MaxSteps:      50_000,

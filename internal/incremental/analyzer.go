@@ -61,7 +61,7 @@ func (a *Analyzer) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
 }
 
 // AnalyzeContext scans target with artifact reuse under a context and
-// resource budgets (analyzer.ContextAnalyzer).
+// resource budgets (the analyzer.Analyzer contract).
 func (a *Analyzer) AnalyzeContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, error) {
 	res, _, err := a.AnalyzeWithReportContext(ctx, target, opts)
 	return res, err

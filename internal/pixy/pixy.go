@@ -34,6 +34,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/phpast"
 	"repro/internal/pipeline"
+	"repro/internal/rulepack"
 )
 
 // maxCallDepth bounds inter-procedural descent.
@@ -56,10 +57,13 @@ func New() *Engine {
 	return &Engine{cfg: config.Compile(profile2007()), registerGlobals: true}
 }
 
-// profile2007 trims the generic PHP profile down to what a tool frozen in
-// 2007 knows: no filter extension, no JSON, and of course no WordPress.
+// profile2007 trims the builtin generic pack down to what a tool frozen
+// in 2007 knows: no filter extension, no JSON, and of course no WordPress.
 func profile2007() config.Profile {
-	g := config.Generic()
+	g, err := rulepack.NewRegistry().Resolve("generic")
+	if err != nil {
+		panic(err)
+	}
 	unknown := map[string]bool{
 		"filter_var":   true,
 		"filter_input": true,
@@ -99,7 +103,7 @@ func (e *Engine) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
 }
 
 // AnalyzeContext scans one plugin target under a context and resource
-// budgets (analyzer.ContextAnalyzer). Per-file analysis is
+// budgets (the analyzer.Analyzer contract). Per-file analysis is
 // crash-isolated; a halted governor stops the scan between files and
 // inside the forward data-flow walk.
 func (e *Engine) AnalyzeContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, error) {

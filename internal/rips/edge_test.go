@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/analyzer"
+	"repro/internal/rulepack"
 )
 
 // Additional RIPS backward-slicing coverage.
@@ -174,7 +175,7 @@ echo $c;`, tt.pattern, tt.replacement)
 // TestQuickRIPSNeverPanics exercises robustness on arbitrary inputs.
 func TestQuickRIPSNeverPanics(t *testing.T) {
 	t.Parallel()
-	eng := NewDefault()
+	eng := New(rulepack.MustCompile("generic"))
 	f := func(body string) bool {
 		res, err := eng.Analyze(&analyzer.Target{
 			Name:  "fuzz",

@@ -50,11 +50,8 @@ type Engine struct {
 var _ analyzer.Analyzer = (*Engine)(nil)
 
 // New returns a RIPS engine. RIPS only knows generic PHP, so the natural
-// configuration is config.Compile(config.Generic()).
+// configuration is the builtin generic pack, rulepack.MustCompile("generic").
 func New(cfg *config.Compiled) *Engine { return &Engine{cfg: cfg} }
-
-// NewDefault returns a RIPS engine with its stock generic-PHP knowledge.
-func NewDefault() *Engine { return New(config.Compile(config.Generic())) }
 
 // Name returns the tool name used in reports.
 func (e *Engine) Name() string { return "RIPS" }
@@ -78,7 +75,7 @@ func (e *Engine) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
 }
 
 // AnalyzeContext scans one plugin target under a context and resource
-// budgets (analyzer.ContextAnalyzer). Per-file analysis is
+// budgets (the analyzer.Analyzer contract). Per-file analysis is
 // crash-isolated; a halted governor stops the scan between files and
 // inside the backward-tracing recursion.
 func (e *Engine) AnalyzeContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, error) {

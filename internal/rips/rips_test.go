@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
+	"repro/internal/rulepack"
 )
 
 // scan runs the default RIPS engine over one file.
 func scan(t *testing.T, src string) *analyzer.Result {
 	t.Helper()
-	res, err := NewDefault().Analyze(&analyzer.Target{
+	res, err := New(rulepack.MustCompile("generic")).Analyze(&analyzer.Target{
 		Name:  "test-plugin",
 		Files: []analyzer.SourceFile{{Path: "plugin.php", Content: src}},
 	})
@@ -228,7 +229,7 @@ mysql_query("SELECT * FROM t WHERE a='$y'");`)
 
 func TestMultiFileIndependence(t *testing.T) {
 	t.Parallel()
-	res, err := NewDefault().Analyze(&analyzer.Target{
+	res, err := New(rulepack.MustCompile("generic")).Analyze(&analyzer.Target{
 		Name: "multi",
 		Files: []analyzer.SourceFile{
 			{Path: "a.php", Content: `<?php echo $_GET['a'];`},
@@ -247,7 +248,7 @@ func TestMultiFileIndependence(t *testing.T) {
 func TestCrossFileFunctionResolution(t *testing.T) {
 	t.Parallel()
 	// Functions resolve target-wide even without include processing.
-	res, err := NewDefault().Analyze(&analyzer.Target{
+	res, err := New(rulepack.MustCompile("generic")).Analyze(&analyzer.Target{
 		Name: "multi",
 		Files: []analyzer.SourceFile{
 			{Path: "lib.php", Content: `<?php function put($s) { echo $s; }`},

@@ -1,14 +1,14 @@
 // Package rulepack loads data-driven rule packs: JSON documents that
 // declare the sources, sanitizers, reverts and sinks an analysis engine
-// scans with, plus per-rule CWE and severity metadata. Packs replace the
-// compiled-in Go profiles (config.Generic, wordpress.Profile, ...) with
-// files a user can edit, and compose through an extends chain — the
-// paper's §VI names Drupal and Joomla support as future work that should
-// require "only" new configuration, which is exactly what a pack is.
+// scans with, plus per-rule CWE and severity metadata. The embedded
+// builtin packs (generic, wordpress, drupal, joomla, security-extended)
+// are the only source of rule knowledge; users add packs of their own,
+// and packs compose through an extends chain — the paper's §VI names
+// Drupal and Joomla support as future work that should require "only"
+// new configuration, which is exactly what a pack is.
 //
-// A pack resolves to a config.Profile and compiles into the same
-// config.Compiled lookups the engines already use: the hot path is
-// untouched, only the way rules arrive changes.
+// A pack resolves to a config.Profile and compiles into the
+// config.Compiled lookups the engines scan with.
 package rulepack
 
 import (
@@ -330,70 +330,6 @@ func (p *Pack) Profile() config.Profile {
 // RuleCount returns the number of rules the pack body declares.
 func (p *Pack) RuleCount() int {
 	return len(p.Sources) + len(p.Sanitizers) + len(p.Reverts) + len(p.Sinks)
-}
-
-// FromProfile converts a config.Profile to a pack document — the inverse
-// of Pack.Profile, used to generate the builtin packs from the original
-// compiled-in Go profiles so the two stay provably in sync.
-func FromProfile(name, description string, p config.Profile) (*Pack, error) {
-	out := &Pack{SchemaVersion: SchemaVersion, Name: name, Description: description}
-	kindLabels := map[config.SourceKind]string{
-		config.SuperglobalSource: "superglobal",
-		config.FunctionSource:    "function",
-		config.MethodSource:      "method",
-	}
-	vectorLabels := make(map[analyzer.Vector]string, len(vectors))
-	for label, v := range vectors {
-		vectorLabels[v] = label
-	}
-	for _, s := range p.Sources {
-		kind, ok := kindLabels[s.Kind]
-		if !ok {
-			return nil, fmt.Errorf("rulepack: source %q: unknown kind %d", s.Name, s.Kind)
-		}
-		vec, ok := vectorLabels[s.Vector]
-		if !ok {
-			return nil, fmt.Errorf("rulepack: source %q: unknown vector %d", s.Name, s.Vector)
-		}
-		out.Sources = append(out.Sources, SourceRule{
-			Kind: kind, Name: s.Name, Class: s.Class,
-			Vector: vec, Taints: slugList(s.Taints),
-		})
-	}
-	for _, s := range p.Sanitizers {
-		out.Sanitizers = append(out.Sanitizers, SanitizerRule{
-			Name: s.Name, Class: s.Class, Untaints: slugList(s.Untaints),
-		})
-	}
-	out.Reverts = append(out.Reverts, p.Reverts...)
-	for _, s := range p.Sinks {
-		out.Sinks = append(out.Sinks, SinkRule{
-			Name: s.Name, Class: s.Class, Vuln: s.Vuln.Slug(),
-			Args: s.Args, CWE: s.CWE, Severity: s.Severity,
-		})
-	}
-	if len(p.ObjectClasses) > 0 {
-		out.ObjectClasses = make(map[string]string, len(p.ObjectClasses))
-		for k, v := range p.ObjectClasses {
-			out.ObjectClasses[k] = v
-		}
-	}
-	if err := out.validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// slugList renders classes as slugs.
-func slugList(cs []analyzer.VulnClass) []string {
-	if len(cs) == 0 {
-		return nil
-	}
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = c.Slug()
-	}
-	return out
 }
 
 // Marshal renders the pack as stable, indented JSON (keys in struct

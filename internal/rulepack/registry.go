@@ -152,3 +152,14 @@ func (r *Registry) Compile(names ...string) (*config.Compiled, error) {
 	}
 	return config.Compile(p), nil
 }
+
+// MustCompile compiles the named builtin packs. The builtins are
+// validated at init, so an error here is a programmer error (an unknown
+// pack name) and panics.
+func MustCompile(names ...string) *config.Compiled {
+	cfg, err := NewRegistry().Compile(names...)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
-	"repro/internal/wordpress"
+	"repro/internal/rulepack"
 )
 
 // repeatedCallSource builds a plugin where one helper function is called
@@ -36,7 +36,7 @@ func benchEngine(b *testing.B, summaries bool) {
 	b.Helper()
 	opts := DefaultOptions()
 	opts.FunctionSummaries = summaries
-	engine := New(wordpress.Compiled(), opts)
+	engine := New(rulepack.MustCompile("wordpress"), opts)
 	target := &analyzer.Target{
 		Name:  "bench",
 		Files: []analyzer.SourceFile{{Path: "bench.php", Content: repeatedCallSource(200)}},
@@ -90,7 +90,7 @@ $g = new Gallery();
 $g->load();
 $g->render();
 `
-	engine := New(wordpress.Compiled(), DefaultOptions())
+	engine := New(rulepack.MustCompile("wordpress"), DefaultOptions())
 	target := &analyzer.Target{
 		Name:  "gallery",
 		Files: []analyzer.SourceFile{{Path: "gallery.php", Content: src}},

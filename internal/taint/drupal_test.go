@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
-	"repro/internal/config"
+	"repro/internal/rulepack"
 )
 
 // drupalEngine builds phpSAFE configured for Drupal modules (§VI).
 func drupalEngine() *Engine {
-	cfg := config.Compile(config.Merge("drupal", config.Generic(), config.Drupal()))
-	return New(cfg, DefaultOptions())
+	return New(rulepack.MustCompile("drupal"), DefaultOptions())
 }
 
 // scanDrupal analyzes one Drupal module file.

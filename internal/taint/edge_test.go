@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/analyzer"
-	"repro/internal/wordpress"
+	"repro/internal/rulepack"
 )
 
 // Edge-case coverage for the analysis stage beyond the §III scenarios in
@@ -316,7 +316,7 @@ func TestQuickManyEchoesBounded(t *testing.T) {
 
 // newTestEngine builds the default-configured engine for edge tests.
 func newTestEngine() *Engine {
-	return New(wordpress.Compiled(), DefaultOptions())
+	return New(rulepack.MustCompile("wordpress"), DefaultOptions())
 }
 
 func TestGlobalsArrayAccess(t *testing.T) {

@@ -125,7 +125,7 @@ func (e *Engine) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
 }
 
 // AnalyzeContext scans one plugin target under a context and resource
-// budgets (the context-first contract, see analyzer.ContextAnalyzer).
+// budgets (the analyzer.Analyzer contract).
 // Cancellation returns the partial result plus an error wrapping
 // ctx.Err(); exhausted budgets return a partial result flagged
 // Truncated with a nil error; per-file panics and time-slice overruns

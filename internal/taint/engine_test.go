@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
-	"repro/internal/wordpress"
+	"repro/internal/rulepack"
 )
 
 // scan runs the default-configuration engine over a single-file target.
@@ -18,7 +18,7 @@ func scan(t *testing.T, src string) *analyzer.Result {
 // scanOpts runs the engine with custom options over a single-file target.
 func scanOpts(t *testing.T, opts Options, src string) *analyzer.Result {
 	t.Helper()
-	eng := New(wordpress.Compiled(), opts)
+	eng := New(rulepack.MustCompile("wordpress"), opts)
 	res, err := eng.Analyze(&analyzer.Target{
 		Name:  "test-plugin",
 		Files: []analyzer.SourceFile{{Path: "plugin.php", Content: src}},
@@ -36,7 +36,7 @@ func scanFiles(t *testing.T, files map[string]string) *analyzer.Result {
 	for path, content := range files {
 		target.Files = append(target.Files, analyzer.SourceFile{Path: path, Content: content})
 	}
-	eng := New(wordpress.Compiled(), DefaultOptions())
+	eng := New(rulepack.MustCompile("wordpress"), DefaultOptions())
 	res, err := eng.Analyze(target)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)

@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
-	"repro/internal/wordpress"
+	"repro/internal/rulepack"
 )
 
 func TestModelInventory(t *testing.T) {
 	t.Parallel()
-	eng := New(wordpress.Compiled(), DefaultOptions())
+	eng := New(rulepack.MustCompile("wordpress"), DefaultOptions())
 	info, err := eng.Model(&analyzer.Target{
 		Name: "p",
 		Files: []analyzer.SourceFile{
@@ -82,7 +82,7 @@ $w->render();
 
 func TestModelParseErrorsSurface(t *testing.T) {
 	t.Parallel()
-	eng := New(wordpress.Compiled(), DefaultOptions())
+	eng := New(rulepack.MustCompile("wordpress"), DefaultOptions())
 	info, err := eng.Model(&analyzer.Target{
 		Name:  "p",
 		Files: []analyzer.SourceFile{{Path: "bad.php", Content: `<?php $x = ;`}},
@@ -97,7 +97,7 @@ func TestModelParseErrorsSurface(t *testing.T) {
 
 func TestModelNilTarget(t *testing.T) {
 	t.Parallel()
-	eng := New(wordpress.Compiled(), DefaultOptions())
+	eng := New(rulepack.MustCompile("wordpress"), DefaultOptions())
 	if _, err := eng.Model(nil); err == nil {
 		t.Fatal("nil target should error")
 	}

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
-	"repro/internal/wordpress"
+	"repro/internal/rulepack"
 )
 
 // The testdata/suite directory holds hand-written PHP cases in the style
@@ -57,7 +57,7 @@ func TestSuite(t *testing.T) {
 	if len(entries) < 15 {
 		t.Fatalf("suite has %d files, expected the full set", len(entries))
 	}
-	engine := New(wordpress.Compiled(), DefaultOptions())
+	engine := New(rulepack.MustCompile("wordpress"), DefaultOptions())
 
 	for _, entry := range entries {
 		entry := entry
@@ -117,7 +117,7 @@ func TestSuiteBaselinesEnvelope(t *testing.T) {
 		Files: []analyzer.SourceFile{{Path: "x.php", Content: read("03-xss-wpdb-rows.php")}},
 	}
 
-	php := New(wordpress.Compiled(), DefaultOptions())
+	php := New(rulepack.MustCompile("wordpress"), DefaultOptions())
 	res, err := php.Analyze(oopCase)
 	if err != nil || len(res.Findings) != 1 {
 		t.Fatalf("phpSAFE on OOP case: %v findings, err %v", len(res.Findings), err)
@@ -125,7 +125,7 @@ func TestSuiteBaselinesEnvelope(t *testing.T) {
 
 	blind := DefaultOptions()
 	blind.OOP = false
-	res, err = New(wordpress.Compiled(), blind).Analyze(oopCase)
+	res, err = New(rulepack.MustCompile("wordpress"), blind).Analyze(oopCase)
 	if err != nil || len(res.Findings) != 0 {
 		t.Fatalf("OOP-blind engine on OOP case: %d findings, err %v (must be 0)",
 			len(res.Findings), err)

@@ -5,117 +5,14 @@
 // through framework objects and functions — "$wpdb->get_results" retrieves
 // likely-untrusted database rows, "esc_html" sanitizes for HTML output —
 // and a tool unaware of them both misses vulnerabilities (unknown sources)
-// and raises false alarms (unknown sanitizers). This package provides:
-//
-//   - Profile: the WordPress configuration layer (sources, sanitizers,
-//     sinks, well-known globals) merged on top of config.Generic.
-//   - StubSource: a PHP rendering of the modeled API, used by the corpus
-//     generator so generated plugins can include a framework file the way
-//     real plugins include wp-load.php.
+// and raises false alarms (unknown sanitizers). That knowledge lives in
+// the builtin "wordpress" rule pack (internal/rulepack/builtin). This
+// package holds StubSource: a PHP rendering of the modeled API, used by
+// the corpus generator so generated plugins can include a framework file
+// the way real plugins include wp-load.php.
 package wordpress
 
-import (
-	"strings"
-
-	"repro/internal/analyzer"
-	"repro/internal/config"
-)
-
-// Profile returns the WordPress configuration layer. Merge it on top of
-// config.Generic() to obtain phpSAFE's out-of-the-box configuration:
-//
-//	cfg := config.Compile(config.Merge("wordpress", config.Generic(), wordpress.Profile()))
-func Profile() config.Profile {
-	xss := []analyzer.VulnClass{analyzer.XSS}
-	sqli := []analyzer.VulnClass{analyzer.SQLi}
-
-	return config.Profile{
-		Name: "wordpress",
-		Sources: []config.Source{
-			// $wpdb read methods return database rows: second-order data
-			// that other users may have poisoned (§III.E's
-			// mail-subscribe-list example).
-			{Kind: config.MethodSource, Class: "wpdb", Name: "get_results", Vector: analyzer.VectorDB, Taints: xss},
-			{Kind: config.MethodSource, Class: "wpdb", Name: "get_row", Vector: analyzer.VectorDB, Taints: xss},
-			{Kind: config.MethodSource, Class: "wpdb", Name: "get_var", Vector: analyzer.VectorDB, Taints: xss},
-			{Kind: config.MethodSource, Class: "wpdb", Name: "get_col", Vector: analyzer.VectorDB, Taints: xss},
-
-			// WordPress option/meta accessors also read from the database.
-			{Kind: config.FunctionSource, Name: "get_option", Vector: analyzer.VectorDB, Taints: xss},
-			{Kind: config.FunctionSource, Name: "get_post_meta", Vector: analyzer.VectorDB, Taints: xss},
-			{Kind: config.FunctionSource, Name: "get_user_meta", Vector: analyzer.VectorDB, Taints: xss},
-			{Kind: config.FunctionSource, Name: "get_comment_meta", Vector: analyzer.VectorDB, Taints: xss},
-			{Kind: config.FunctionSource, Name: "get_query_var", Vector: analyzer.VectorGET, Taints: xss},
-			{Kind: config.FunctionSource, Name: "get_search_query", Vector: analyzer.VectorGET, Taints: xss},
-		},
-
-		Sanitizers: []config.Sanitizer{
-			// Escaping API.
-			{Name: "esc_html", Untaints: xss},
-			{Name: "esc_attr", Untaints: xss},
-			{Name: "esc_url", Untaints: xss},
-			{Name: "esc_url_raw", Untaints: xss},
-			{Name: "esc_js", Untaints: xss},
-			{Name: "esc_textarea", Untaints: xss},
-			{Name: "esc_html__", Untaints: xss},
-			{Name: "esc_html_e", Untaints: xss},
-			{Name: "esc_attr__", Untaints: xss},
-			{Name: "esc_attr_e", Untaints: xss},
-			{Name: "wp_kses", Untaints: xss},
-			{Name: "wp_kses_post", Untaints: xss},
-			{Name: "wp_kses_data", Untaints: xss},
-			{Name: "tag_escape", Untaints: xss},
-
-			// Sanitization API (both classes: the output is constrained).
-			{Name: "sanitize_text_field"},
-			{Name: "sanitize_email"},
-			{Name: "sanitize_key"},
-			{Name: "sanitize_file_name"},
-			{Name: "sanitize_html_class"},
-			{Name: "sanitize_title"},
-			{Name: "sanitize_user"},
-			{Name: "absint"},
-			{Name: "wp_validate_boolean"},
-
-			// SQL escaping.
-			{Name: "esc_sql", Untaints: sqli},
-			{Name: "like_escape", Untaints: sqli},
-			{Class: "wpdb", Name: "prepare", Untaints: sqli},
-			{Class: "wpdb", Name: "escape", Untaints: sqli},
-		},
-
-		Reverts: []string{
-			"wp_specialchars_decode",
-			"wp_unslash",
-		},
-
-		Sinks: []config.Sink{
-			// $wpdb query methods are SQL sinks for their query argument.
-			{Class: "wpdb", Name: "query", Vuln: analyzer.SQLi, Args: []int{0}},
-			{Class: "wpdb", Name: "get_results", Vuln: analyzer.SQLi, Args: []int{0}},
-			{Class: "wpdb", Name: "get_row", Vuln: analyzer.SQLi, Args: []int{0}},
-			{Class: "wpdb", Name: "get_var", Vuln: analyzer.SQLi, Args: []int{0}},
-			{Class: "wpdb", Name: "get_col", Vuln: analyzer.SQLi, Args: []int{0}},
-
-			// Output helpers that echo their argument.
-			{Name: "_e", Vuln: analyzer.XSS, Args: []int{0}},
-			{Name: "comment_text", Vuln: analyzer.XSS},
-			{Name: "the_content", Vuln: analyzer.XSS},
-		},
-
-		ObjectClasses: map[string]string{
-			"wpdb":     "wpdb",
-			"wp_query": "wp_query",
-			"post":     "wp_post",
-		},
-	}
-}
-
-// Compiled returns the ready-to-use compiled WordPress configuration
-// (generic PHP + WordPress), phpSAFE's out-of-the-box setup.
-func Compiled() *config.Compiled {
-	return config.Compile(config.Merge("wordpress", config.Generic(), Profile()))
-}
+import "strings"
 
 // StubSource returns PHP source text declaring the modeled WordPress API:
 // the wpdb class with its query/read methods, the escaping and

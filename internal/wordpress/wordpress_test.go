@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
+	"repro/internal/config"
 	"repro/internal/phpparse"
+	"repro/internal/rulepack"
 )
 
 func TestCompiledLookups(t *testing.T) {
 	t.Parallel()
-	cfg := Compiled()
+	cfg := rulepack.MustCompile("wordpress")
 
 	// Method sources on wpdb.
 	src, ok := cfg.MethodSource("wpdb", "get_results")
@@ -66,7 +68,7 @@ func TestStubSourceParses(t *testing.T) {
 		t.Fatalf("stub parse errors: %v", f.Errors[:min(3, len(f.Errors))])
 	}
 	// The stub must declare the wpdb class and the escaping functions the
-	// profile references.
+	// wordpress pack references.
 	src := StubSource()
 	for _, want := range []string{
 		"class wpdb", "function esc_html", "function add_action",
@@ -81,9 +83,13 @@ func TestStubSourceParses(t *testing.T) {
 
 func TestProfileEntriesAreLowerCaseable(t *testing.T) {
 	t.Parallel()
-	p := Profile()
+	pack, ok := rulepack.NewRegistry().Get("wordpress")
+	if !ok {
+		t.Fatal("builtin wordpress pack missing")
+	}
+	p := pack.Profile()
 	for _, s := range p.Sources {
-		if s.Kind != 1 && s.Name != strings.ToLower(s.Name) {
+		if s.Kind != config.SuperglobalSource && s.Name != strings.ToLower(s.Name) {
 			t.Errorf("source %q should be lower-case", s.Name)
 		}
 	}
