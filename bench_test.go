@@ -374,7 +374,7 @@ func BenchmarkIncrementalRescan(b *testing.B) {
 		eng := newEngine(b)
 		for i := 0; i < b.N; i++ {
 			dirty := incremental.Touch(base, 0, i)
-			if _, err := eng.Analyze(dirty); err != nil {
+			if _, err := eng.AnalyzeContext(context.Background(), dirty, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -387,13 +387,13 @@ func BenchmarkIncrementalRescan(b *testing.B) {
 			b.Fatal(err)
 		}
 		inc := incremental.New(eng, store, "bench", nil)
-		if _, err := inc.Analyze(base); err != nil {
+		if _, _, err := inc.Analyze(context.Background(), base, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			dirty := incremental.Touch(base, 0, i)
-			res, rep, err := inc.AnalyzeWithReport(dirty)
+			res, rep, err := inc.Analyze(context.Background(), dirty, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -312,7 +312,7 @@ func measureIncremental() (*benchIncremental, error) {
 		return nil, err
 	}
 	inc := incremental.New(eng, store, "bench", nil)
-	if _, err := inc.Analyze(base); err != nil {
+	if _, _, err := inc.Analyze(context.Background(), base, nil); err != nil {
 		return nil, err
 	}
 
@@ -321,13 +321,13 @@ func measureIncremental() (*benchIncremental, error) {
 		dirty := incremental.Touch(base, 0, i)
 
 		start := time.Now()
-		if _, err := eng.Analyze(dirty); err != nil {
+		if _, err := eng.AnalyzeContext(context.Background(), dirty, nil); err != nil {
 			return nil, err
 		}
 		cold := float64(time.Since(start).Microseconds()) / 1000
 
 		start = time.Now()
-		_, rep, err := inc.AnalyzeWithReport(dirty)
+		_, rep, err := inc.Analyze(context.Background(), dirty, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -386,12 +386,8 @@ type incReporting struct {
 
 func (w *incReporting) Name() string { return w.inc.Name() }
 
-func (w *incReporting) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
-	return w.AnalyzeContext(context.Background(), target, nil)
-}
-
 func (w *incReporting) AnalyzeContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, error) {
-	res, rep, err := w.inc.AnalyzeWithReportContext(ctx, target, opts)
+	res, rep, err := w.inc.Analyze(ctx, target, opts)
 	if err != nil {
 		return nil, err
 	}

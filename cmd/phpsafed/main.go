@@ -30,9 +30,6 @@
 //	-hedge-delay D      coordinator: duplicate a dispatch to the next
 //	                    ring owner when the primary has not settled
 //	                    after D; first result wins (0 = off)
-//	-replicas N         coordinator: dispatch replication factor; 2
-//	                    sends every scan to both first ring owners
-//	                    immediately (default 1)
 //	-heartbeat-interval D
 //	                    coordinator: worker heartbeat probe cadence
 //	                    (default 1s); dead workers are re-probed on the
@@ -141,7 +138,6 @@ func run() int {
 	joinURL := flag.String("join", "", "worker: coordinator base URL to announce to (requires -advertise)")
 	advertise := flag.String("advertise", "", "worker: base URL this worker serves on, reported in heartbeats and announced via -join")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "coordinator: duplicate a dispatch to the next ring owner after this delay (0 = off)")
-	replicas := flag.Int("replicas", 1, "coordinator: dispatch replication factor (2 = dispatch to two owners immediately)")
 	heartbeatInterval := flag.Duration("heartbeat-interval", time.Second, "coordinator: worker heartbeat probe cadence")
 	reviveAfter := flag.Int("revive-after", 2, "coordinator: consecutive successful probes before a suspect/dead worker revives")
 	queue := flag.Int("queue", 64, "max queued scans before submissions get 429")
@@ -271,7 +267,6 @@ func run() int {
 			HeartbeatInterval: *heartbeatInterval,
 			ReviveAfter:       *reviveAfter,
 			HedgeDelay:        *hedgeDelay,
-			DispatchReplicas:  *replicas,
 			ReconnectBackoff:  jobs.RetryPolicy{Base: *retryBase, Cap: *retryCap},
 			Journal:           journal,
 			Recorder:          rec,

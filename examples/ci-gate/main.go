@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -74,10 +75,10 @@ func main() {
 
 // mustScan analyzes one in-memory revision.
 func mustScan(engine *taint.Engine, name, src string) *analyzer.Result {
-	res, err := engine.Analyze(&analyzer.Target{
+	res, err := engine.AnalyzeContext(context.Background(), &analyzer.Target{
 		Name:  name,
 		Files: []analyzer.SourceFile{{Path: name + ".php", Content: src}},
-	})
+	}, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ci-gate: %v\n", err)
 		os.Exit(2)

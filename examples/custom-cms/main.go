@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	_ "embed"
 	"fmt"
 
@@ -99,7 +100,7 @@ func main() {
 
 // scan runs one configuration and prints a summary.
 func scan(engine *taint.Engine, target *analyzer.Target, label string) {
-	res, err := engine.Analyze(target)
+	res, err := engine.AnalyzeContext(context.Background(), target, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analyzer"
@@ -60,7 +61,7 @@ func main() {
 		},
 	}
 
-	result, err := engine.Analyze(target)
+	result, err := engine.AnalyzeContext(context.Background(), target, nil)
 	if err != nil {
 		panic(err)
 	}

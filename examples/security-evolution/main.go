@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -63,7 +64,7 @@ func main() {
 
 // mustAnalyze runs the engine or exits.
 func mustAnalyze(engine *taint.Engine, target *analyzer.Target) *analyzer.Result {
-	res, err := engine.Analyze(target)
+	res, err := engine.AnalyzeContext(context.Background(), target, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

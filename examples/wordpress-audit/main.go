@@ -41,7 +41,7 @@ func main() {
 	truthLines := truthIndex(c2014, target.Name)
 	fmt.Printf("Ground truth: %d seeded vulnerabilities in this plugin\n\n", len(truthLines))
 
-	for _, tool := range eval.DefaultTools() {
+	for _, tool := range eval.Tools(nil) {
 		res, err := tool.AnalyzeContext(context.Background(), target, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", tool.Name(), err)

@@ -54,11 +54,11 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 
 	engine := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
-	memRes, err := engine.Analyze(target)
+	memRes, err := engine.AnalyzeContext(context.Background(), target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diskRes, err := engine.Analyze(loaded)
+	diskRes, err := engine.AnalyzeContext(context.Background(), loaded, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAllToolsOnDiskTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tool := range eval.DefaultTools() {
+	for _, tool := range eval.Tools(nil) {
 		res, err := tool.AnalyzeContext(context.Background(), loaded, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tool.Name(), err)
@@ -114,11 +114,11 @@ func TestEvolutionPipelineOverCorpus(t *testing.T) {
 		if newTarget == nil {
 			t.Fatalf("plugin %s missing from 2014", oldTarget.Name)
 		}
-		oldRes, err := engine.Analyze(oldTarget)
+		oldRes, err := engine.AnalyzeContext(context.Background(), oldTarget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		newRes, err := engine.Analyze(newTarget)
+		newRes, err := engine.AnalyzeContext(context.Background(), newTarget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -453,10 +453,6 @@ func (t *Target) File(path string) (SourceFile, bool) {
 // carries Truncated/TruncatedBy, and the error is nil. Per-file
 // problems are recorded in the Result, never returned as errors
 // (robustness requirement, paper §IV.A).
-//
-// The engines in this repository additionally provide a concrete
-// Analyze(target) convenience method (background context, default
-// budgets); it is deliberately not part of the interface.
 type Analyzer interface {
 	// Name returns the tool's display name.
 	Name() string

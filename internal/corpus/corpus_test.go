@@ -191,7 +191,7 @@ func TestAllFilesParse(t *testing.T) {
 	for _, c := range []*Corpus{gen2012, gen2014} {
 		for _, target := range c.Targets {
 			for _, f := range target.Files {
-				parsed := phpparse.Parse(f.Path, f.Content)
+				parsed := phpparse.Parse(f.Path, f.Content, phpparse.Options{})
 				if len(parsed.Errors) > 0 {
 					t.Errorf("%s %s/%s: parse errors: %v",
 						c.Version, target.Name, f.Path, parsed.Errors[:min(3, len(parsed.Errors))])

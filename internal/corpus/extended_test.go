@@ -120,7 +120,7 @@ func TestExtendedCorpusParsesAndPointsAtSinks(t *testing.T) {
 	for _, c := range []*Corpus{e12, e14} {
 		for _, target := range c.Targets {
 			for _, f := range target.Files {
-				parsed := phpparse.Parse(f.Path, f.Content)
+				parsed := phpparse.Parse(f.Path, f.Content, phpparse.Options{})
 				if len(parsed.Errors) > 0 {
 					t.Errorf("%s %s/%s: parse errors: %v",
 						c.Version, target.Name, f.Path, parsed.Errors[:min(3, len(parsed.Errors))])

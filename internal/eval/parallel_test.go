@@ -51,7 +51,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelWorkerDefaults(t *testing.T) {
 	c12, _ := corpus.MustGenerate()
 	// Workers < 0 means GOMAXPROCS; RIPS is the cheapest tool.
-	run, err := Run(context.Background(), DefaultTools()[1], c12, Options{Workers: -1})
+	run, err := Run(context.Background(), Tools(nil)[1], c12, Options{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

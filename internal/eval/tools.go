@@ -14,19 +14,13 @@ import (
 	"repro/internal/taint"
 )
 
-// DefaultTools returns the paper's three tools in presentation order:
+// Tools returns the paper's three tools in presentation order:
 // phpSAFE with its out-of-the-box WordPress configuration (the builtin
 // wordpress pack, §III.A), RIPS with its generic-PHP knowledge (the
-// generic pack), and Pixy frozen in 2007.
-func DefaultTools() []analyzer.Analyzer {
-	return ObservedTools(nil)
-}
-
-// ObservedTools returns DefaultTools with the recorder threaded into
+// generic pack), and Pixy frozen in 2007. The recorder is threaded into
 // every engine, so a corpus sweep records lex/parse/model/taint stage
-// timings and engine counters. A nil recorder yields uninstrumented
-// engines (identical to DefaultTools).
-func ObservedTools(rec *obs.Recorder) []analyzer.Analyzer {
+// timings and engine counters; nil yields uninstrumented engines.
+func Tools(rec *obs.Recorder) []analyzer.Analyzer {
 	return []analyzer.Analyzer{
 		taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions()).WithRecorder(rec),
 		rips.New(rulepack.MustCompile("generic")).WithRecorder(rec),
@@ -108,13 +102,13 @@ type EvalOptions struct {
 // the sweep mid-tool with the wrapped context error.
 func EvaluateCorpusContext(ctx context.Context, c *corpus.Corpus, opts EvalOptions) (*Evaluation, error) {
 	runs := make([]*ToolRun, 0, 3)
-	for _, tool := range DefaultTools() {
+	for i, tool := range Tools(nil) {
 		var rec *obs.Recorder
 		if opts.RecorderFor != nil {
 			rec = opts.RecorderFor(tool.Name())
 		}
 		if rec != nil {
-			tool = observe(tool, rec)
+			tool = Tools(rec)[i]
 		}
 		run, err := Run(ctx, tool, c, Options{
 			Workers:  opts.Workers,
@@ -128,19 +122,4 @@ func EvaluateCorpusContext(ctx context.Context, c *corpus.Corpus, opts EvalOptio
 		runs = append(runs, run)
 	}
 	return Evaluate(c, runs), nil
-}
-
-// observe rebinds a known engine to a recorder; tools without recorder
-// support pass through unchanged (harness-level spans still apply).
-func observe(tool analyzer.Analyzer, rec *obs.Recorder) analyzer.Analyzer {
-	switch t := tool.(type) {
-	case *taint.Engine:
-		return t.WithRecorder(rec)
-	case *rips.Engine:
-		return t.WithRecorder(rec)
-	case *pixy.Engine:
-		return t.WithRecorder(rec)
-	default:
-		return tool
-	}
 }

@@ -1,6 +1,7 @@
 package evolution
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -136,11 +137,11 @@ func TestCorpusEvolutionMatchesLabels(t *testing.T) {
 	const plugin = "mail-subscribe-list"
 	engine := taint.New(rulepack.MustCompile("wordpress"), taint.DefaultOptions())
 
-	res12, err := engine.Analyze(c12.Target(plugin))
+	res12, err := engine.AnalyzeContext(context.Background(), c12.Target(plugin), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res14, err := engine.Analyze(c14.Target(plugin))
+	res14, err := engine.AnalyzeContext(context.Background(), c14.Target(plugin), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestBenchFleetHedging(t *testing.T) {
 	measure := func(hedgeDelay time.Duration) []time.Duration {
 		fast, _ := newFullWorker(t, nil)
 		slow, _ := newFullWorker(t, slowDispatch(slowBy))
-		coord, _ := newHedgeCoordinator(t, []string{fast.URL, slow.URL}, hedgeDelay, 1)
+		coord, _ := newHedgeCoordinator(t, []string{fast.URL, slow.URL}, hedgeDelay)
 		lat := make([]time.Duration, 0, scans)
 		for i := 0; i < scans; i++ {
 			php := fmt.Sprintf("%s// bench hedge=%s scan=%d\n", vulnerablePHP, hedgeDelay, i)

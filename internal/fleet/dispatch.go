@@ -75,11 +75,10 @@ type workerScanView struct {
 
 // Dispatch executes one scan attempt on the ring owner of req.Key.
 // When hedging is configured a second branch races the primary after
-// the hedge delay (immediately under DispatchReplicas >= 2); the first
-// settled result wins and the loser is cancelled. A replayed scan
-// (req.Resubmitted) first reconciles with the workers' in-flight
-// tables and adopts a still-running pre-restart dispatch instead of
-// starting a duplicate.
+// the hedge delay; the first settled result wins and the loser is
+// cancelled. A replayed scan (req.Resubmitted) first reconciles with
+// the workers' in-flight tables and adopts a still-running pre-restart
+// dispatch instead of starting a duplicate.
 func (f *Fleet) Dispatch(ctx context.Context, req *server.DispatchRequest) (*server.DispatchResult, error) {
 	if req.Resubmitted {
 		if res, err, adopted := f.adopt(ctx, req); adopted {
@@ -87,9 +86,8 @@ func (f *Fleet) Dispatch(ctx context.Context, req *server.DispatchRequest) (*ser
 		}
 	}
 
-	hedged := f.cfg.HedgeDelay > 0 || f.cfg.DispatchReplicas >= 2
 	want := 1
-	if hedged {
+	if f.cfg.HedgeDelay > 0 {
 		want = 2
 	}
 	owners, ok := f.pickOwners(req, want)
@@ -151,12 +149,11 @@ type hedgeOutcome struct {
 }
 
 // dispatchHedged races up to two dispatch branches: the primary starts
-// immediately, the hedge to the next ring owner after HedgeDelay
-// (immediately under replication). The first successful branch wins and
-// the other is cancelled; when the primary fails before the hedge timer
-// fires, the hedge fires early rather than wasting the budgeted
-// attempt. Only when every launched branch has failed does the attempt
-// fail.
+// immediately, the hedge to the next ring owner after HedgeDelay. The
+// first successful branch wins and the other is cancelled; when the
+// primary fails before the hedge timer fires, the hedge fires early
+// rather than wasting the budgeted attempt. Only when every launched
+// branch has failed does the attempt fail.
 func (f *Fleet) dispatchHedged(ctx context.Context, owners []string, req *server.DispatchRequest) (*server.DispatchResult, error) {
 	branchCtx, cancelBranches := context.WithCancel(ctx)
 	defer cancelBranches()
@@ -189,11 +186,7 @@ func (f *Fleet) dispatchHedged(ctx context.Context, owners []string, req *server
 		outstanding++
 	}
 
-	delay := f.cfg.HedgeDelay
-	if f.cfg.DispatchReplicas >= 2 {
-		delay = 0
-	}
-	timer := time.NewTimer(delay)
+	timer := time.NewTimer(f.cfg.HedgeDelay)
 	defer timer.Stop()
 	timerC := timer.C
 

@@ -56,7 +56,7 @@ const (
 	// owner (always follows EvOwnershipTransferred for the same scan).
 	EvResubmittedToPeer = "resubmitted_to_peer"
 	// EvHedgeFired: the primary dispatch outlived the hedge delay (or
-	// replication is on) and a duplicate dispatch is being sent to the
+	// failed before it) and a duplicate dispatch is being sent to the
 	// next ring owner (Detail names it).
 	EvHedgeFired = "hedge_fired"
 	// EvHedgeWon: one branch of a hedged dispatch settled first and its
@@ -110,13 +110,8 @@ type Config struct {
 	ReviveAfter int
 	// HedgeDelay, when positive, arms hedged dispatch: an attempt still
 	// unsettled after the delay is duplicated to the next ring owner and
-	// the first result wins. Zero disables hedging (unless
-	// DispatchReplicas forces it).
+	// the first result wins. Zero disables hedging.
 	HedgeDelay time.Duration
-	// DispatchReplicas, when >= 2, replicates every dispatch to the two
-	// first live ring owners immediately (a zero hedge delay), trading
-	// duplicated work for the best possible tail latency.
-	DispatchReplicas int
 	// ReconnectBackoff schedules probes of a dead worker: the same
 	// jittered exponential backoff the jobs pool uses between scan
 	// attempts, so a flapping worker is probed gently rather than

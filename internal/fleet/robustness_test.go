@@ -106,13 +106,13 @@ func TestQuantizeWeight(t *testing.T) {
 	cases := []struct {
 		capacity, queueDepth, want int
 	}{
-		{0, 0, MinWeight},        // unknown capacity floors at MinWeight
-		{4, 0, 4},                // idle: weight = pool size
-		{16, 0, MaxWeight},       // big pool clamps at MaxWeight
-		{4, 8, 4},                // exactly 2x oversubscribed: not yet shedding
-		{4, 9, 2},                // >2x oversubscribed: halve
-		{1, 5, MinWeight},        // halving never drops below MinWeight
-		{20, 50, MaxWeight / 2},  // clamp first, then shed
+		{0, 0, MinWeight},       // unknown capacity floors at MinWeight
+		{4, 0, 4},               // idle: weight = pool size
+		{16, 0, MaxWeight},      // big pool clamps at MaxWeight
+		{4, 8, 4},               // exactly 2x oversubscribed: not yet shedding
+		{4, 9, 2},               // >2x oversubscribed: halve
+		{1, 5, MinWeight},       // halving never drops below MinWeight
+		{20, 50, MaxWeight / 2}, // clamp first, then shed
 	}
 	for _, c := range cases {
 		if got := quantizeWeight(c.capacity, c.queueDepth); got != c.want {
@@ -229,7 +229,7 @@ func slowDispatch(d time.Duration) func(http.Handler) http.Handler {
 }
 
 // newHedgeCoordinator boots a coordinator with hedging configured.
-func newHedgeCoordinator(t *testing.T, workerURLs []string, hedgeDelay time.Duration, replicas int) (*httptest.Server, *obs.Recorder) {
+func newHedgeCoordinator(t *testing.T, workerURLs []string, hedgeDelay time.Duration) (*httptest.Server, *obs.Recorder) {
 	t.Helper()
 	rec := obs.NewRecorder()
 	pool := jobs.New(jobs.Config{Workers: 4, QueueSize: 32, Recorder: rec})
@@ -239,7 +239,6 @@ func newHedgeCoordinator(t *testing.T, workerURLs []string, hedgeDelay time.Dura
 		SuspectAfter:      1,
 		DeadAfter:         2,
 		HedgeDelay:        hedgeDelay,
-		DispatchReplicas:  replicas,
 		ReconnectBackoff:  jobs.RetryPolicy{Base: 20 * time.Millisecond, Cap: 100 * time.Millisecond},
 		Recorder:          rec,
 	})
@@ -263,15 +262,15 @@ func newHedgeCoordinator(t *testing.T, workerURLs []string, hedgeDelay time.Dura
 	return ts, rec
 }
 
-// TestFleetHedgeReplication: with DispatchReplicas=2 every dispatch
-// races both owners immediately; with one worker slowed far past the
+// TestFleetHedgeReplication: with a one-nanosecond hedge delay every
+// dispatch races both owners immediately; with one worker slowed far past the
 // test's patience for a single branch, every scan still settles done
 // and every trace records the full hedge lifecycle.
 func TestFleetHedgeReplication(t *testing.T) {
 	t.Parallel()
 	fast, _ := newFullWorker(t, nil)
 	slow, _ := newFullWorker(t, slowDispatch(2*time.Second))
-	coord, rec := newHedgeCoordinator(t, []string{fast.URL, slow.URL}, 0, 2)
+	coord, rec := newHedgeCoordinator(t, []string{fast.URL, slow.URL}, time.Nanosecond)
 
 	for _, name := range []string{"rep-a", "rep-b", "rep-c", "rep-d"} {
 		sc := submitScan(t, coord.URL, name, vulnerablePHP+"// "+name+"\n")
@@ -320,7 +319,7 @@ func TestFleetHedgeDelay(t *testing.T) {
 	const stall = 5 * time.Second
 	fast, _ := newFullWorker(t, nil)
 	slow, _ := newFullWorker(t, slowDispatch(stall))
-	coord, rec := newHedgeCoordinator(t, []string{fast.URL, slow.URL}, 40*time.Millisecond, 0)
+	coord, rec := newHedgeCoordinator(t, []string{fast.URL, slow.URL}, 40*time.Millisecond)
 
 	// Enough distinct digests that at least one is owned by the slow
 	// worker (12 digests all landing on one of two members is a ~2^-12
@@ -636,6 +635,70 @@ func TestMemberJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// startedRecord returns a one-file dispatch for scan and its
+// dispatch_started journal record.
+func startedRecord(t *testing.T, scan string) (dispatchWire, durable.Record) {
+	t.Helper()
+	wire := dispatchWire{
+		ScanID: scan, Attempt: 1, Name: scan, Tool: "phpsafe",
+		Files: []wireFile{{Path: "index.php", Content: []byte(vulnerablePHP + "// " + scan + "\n")}},
+	}
+	raw, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire, durable.Record{Type: durable.RecDispatchStarted, ScanID: scan, Attempt: 1, Payload: raw}
+}
+
+// writeWorkerJournal writes a crashed worker's dispatch journal into dir.
+func writeWorkerJournal(t *testing.T, dir string, records ...durable.Record) {
+	t.Helper()
+	jrnl, _, err := durable.Open(dir, durable.Options{Logger: quietTestLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if err := jrnl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jrnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restartWorker reopens the dispatch journal in dir and binds a worker
+// journaling into it to a fresh server stack behind an httptest server.
+// It returns the worker, the records to replay, the stack's recorder
+// and the server's URL.
+func restartWorker(t *testing.T, dir string) (*Worker, []durable.Record, *obs.Recorder, string) {
+	t.Helper()
+	jrnl, records, err := durable.Open(dir, durable.Options{Logger: quietTestLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	pool := jobs.New(jobs.Config{Workers: 2, QueueSize: 32, Recorder: rec})
+	wk := NewWorker(WorkerConfig{Journal: jrnl, Recorder: rec, Logger: quietTestLogger()})
+	api := server.New(server.Config{
+		Pool:     pool,
+		Cache:    scancache.New(1<<20, rec),
+		Recorder: rec,
+		Retry:    jobs.RetryPolicy{MaxAttempts: 1},
+		OnSettle: wk.OnSettle,
+	})
+	wk.Bind(api, pool)
+	ts := httptest.NewServer(wk.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		pool.Shutdown(ctx)
+		jrnl.Close()
+	})
+	return wk, records, rec, ts.URL
+}
+
 // TestWorkerJournalReplay: a worker restarted on its own dispatch
 // journal resubmits exactly the dispatches whose records were never
 // closed, re-owns them under the same coordinator scan id (so a
@@ -648,65 +711,23 @@ func TestWorkerJournalReplay(t *testing.T) {
 
 	// Write the pre-crash history by hand: two dispatches started, one
 	// settled. The crashed worker never closed wjr-open.
-	jrnl, _, err := durable.Open(dir, durable.Options{Logger: quietTestLogger()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	started := func(scan string) {
-		raw, err := json.Marshal(dispatchWire{
-			ScanID: scan, Attempt: 1, Name: scan, Tool: "phpsafe",
-			Files: []wireFile{{Path: "index.php", Content: []byte(vulnerablePHP + "// " + scan + "\n")}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := jrnl.Append(durable.Record{Type: durable.RecDispatchStarted, ScanID: scan, Attempt: 1, Payload: raw}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	started("wjr-open")
-	started("wjr-done")
+	_, open := startedRecord(t, "wjr-open")
+	_, done := startedRecord(t, "wjr-done")
 	raw, _ := json.Marshal(settlePayload{State: "done", WorkerScanID: "w-local-1"})
-	if err := jrnl.Append(durable.Record{Type: durable.RecDispatchSettled, ScanID: "wjr-done", Payload: raw}); err != nil {
-		t.Fatal(err)
-	}
-	if err := jrnl.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeWorkerJournal(t, dir, open, done,
+		durable.Record{Type: durable.RecDispatchSettled, ScanID: "wjr-done", Payload: raw})
 
 	// Restart: reopen the journal, build the worker stack, replay.
-	reopened, records, err := durable.Open(dir, durable.Options{Logger: quietTestLogger()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder()
-	pool := jobs.New(jobs.Config{Workers: 2, QueueSize: 32, Recorder: rec})
-	wk := NewWorker(WorkerConfig{Journal: reopened, Recorder: rec, Logger: quietTestLogger()})
-	api := server.New(server.Config{
-		Pool:     pool,
-		Cache:    scancache.New(1<<20, rec),
-		Recorder: rec,
-		Retry:    jobs.RetryPolicy{MaxAttempts: 1},
-		OnSettle: wk.OnSettle,
-	})
-	wk.Bind(api, pool)
+	wk, records, rec, url := restartWorker(t, dir)
 	if n := wk.Replay(records); n != 1 {
 		t.Fatalf("Replay = %d, want 1 (only the unsettled dispatch)", n)
 	}
 	if got := rec.Counter("fleet_worker_replayed_total").Value(); got != 1 {
 		t.Errorf("fleet_worker_replayed_total = %d, want 1", got)
 	}
-	ts := httptest.NewServer(wk.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		pool.Shutdown(ctx)
-		reopened.Close()
-	})
 
 	// The settled dispatch stays settled: not carried for adoption.
-	resp, err := http.Get(ts.URL + "/internal/v1/inflight?scan=wjr-done")
+	resp, err := http.Get(url + "/internal/v1/inflight?scan=wjr-done")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,7 +741,7 @@ func TestWorkerJournalReplay(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var entry inflightEntry
 	for {
-		resp, err := http.Get(ts.URL + "/internal/v1/inflight?scan=wjr-open")
+		resp, err := http.Get(url + "/internal/v1/inflight?scan=wjr-open")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -750,17 +771,46 @@ func TestWorkerJournalReplay(t *testing.T) {
 
 	// The settle closed the journal record: a second restart replays
 	// nothing.
-	if err := reopened.Close(); err != nil {
+	if err := wk.cfg.Journal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	third, records2, err := durable.Open(dir, durable.Options{Logger: quietTestLogger()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer third.Close()
-	wk2 := NewWorker(WorkerConfig{Logger: quietTestLogger()})
-	wk2.Bind(api, pool)
+	wk2, records2, _, _ := restartWorker(t, dir)
 	if n := wk2.Replay(records2); n != 0 {
 		t.Errorf("second Replay = %d, want 0 (all records closed)", n)
+	}
+}
+
+// TestWorkerJournalReplayCacheHit: a replayed dispatch whose content
+// the worker's scan cache already holds settles synchronously inside
+// Accept, before its table entry exists. Its journal record must still
+// be closed, so the next restart replays nothing.
+func TestWorkerJournalReplayCacheHit(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	wire, started := startedRecord(t, "wjc-hit")
+	writeWorkerJournal(t, dir, started)
+	wk, records, rec, url := restartWorker(t, dir)
+
+	// Pre-warm the cache with the same submission, outside the table.
+	warmID, status, _ := wk.api.Accept(specFromWire(&wire))
+	if status != http.StatusAccepted {
+		t.Fatalf("pre-warm Accept = HTTP %d, want 202", status)
+	}
+	if got := waitSettled(t, url, warmID); got.Status != "done" {
+		t.Fatalf("pre-warm scan settled %q, want done", got.Status)
+	}
+
+	if n := wk.Replay(records); n != 1 {
+		t.Fatalf("Replay = %d, want 1", n)
+	}
+	if got := rec.Counter("scans_served_from_cache_total").Value(); got != 1 {
+		t.Fatalf("scans_served_from_cache_total = %d, want 1 (replay must be a cache hit)", got)
+	}
+	if err := wk.cfg.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wk2, records2, _, _ := restartWorker(t, dir)
+	if n := wk2.Replay(records2); n != 0 {
+		t.Errorf("second Replay = %d, want 0 (the cache-hit replay closed its record)", n)
 	}
 }

@@ -213,7 +213,11 @@ func (wk *Worker) handleDispatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // note records the outcome of one dispatch acceptance in the table and
-// closes the journal record when acceptance failed outright.
+// closes the journal record when the dispatch is already over: refused
+// outright, or settled before its entry existed (a synchronous cache
+// hit, or a settle that raced ahead into wk.early). isNew marks a
+// dispatch whose journal record handleDispatch just opened; replays
+// pass false.
 func (wk *Worker) note(wire *dispatchWire, id string, status int, isNew bool) {
 	if wire.ScanID == "" {
 		return
@@ -237,6 +241,12 @@ func (wk *Worker) note(wire *dispatchWire, id string, status int, isNew bool) {
 		state = s
 		delete(wk.early, id)
 	}
+	// The coordinator id's record is still open unless a settle already
+	// closed it: a new dispatch opened a fresh one, and a replay or
+	// re-dispatch is open until its entry reads settled (OnSettle closes
+	// the record when it settles an entry).
+	prev, carried := wk.entries[wire.ScanID]
+	open := isNew || !carried || !settledDispatchState(prev.State)
 	if len(wk.entries) >= maxDispatchEntries {
 		for cid, e := range wk.entries {
 			if settledDispatchState(e.State) {
@@ -245,9 +255,9 @@ func (wk *Worker) note(wire *dispatchWire, id string, status int, isNew bool) {
 		}
 	}
 	wk.entries[wire.ScanID] = &dispatchEntry{WorkerScanID: id, State: state}
-	if state == "done" && isNew {
-		// Settled synchronously (cache shard hit): close the journal
-		// record here — OnSettle fired before the entry existed.
+	if open && settledDispatchState(state) {
+		// OnSettle fired before the entry existed (or never will, for a
+		// cache hit): close the journal record here.
 		wk.journalSettledLocked(wire.ScanID, id, state)
 	}
 }

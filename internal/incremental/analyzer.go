@@ -25,8 +25,8 @@ type Report struct {
 // Analyzer wraps a taint engine with artifact reuse: each scan plans a
 // reuse/re-analyze partition against the store, seeds the engine with
 // the reused files' recorded outcomes, and writes fresh artifacts back.
-// Warm results are byte-identical to a cold Engine.Analyze of the same
-// target (the differential test in this package holds that line).
+// Warm results are byte-identical to a cold Engine.AnalyzeContext of the
+// same target (the differential test in this package holds that line).
 //
 // The wrapper is safe for concurrent use if its store is; the recorder
 // (which may be nil) receives the inc_files_{reused,analyzed}_total,
@@ -38,9 +38,6 @@ type Analyzer struct {
 	fingerprint string
 	rec         *obs.Recorder
 }
-
-// Compile-time checks that Analyzer implements the shared interfaces.
-var _ analyzer.Analyzer = (*Analyzer)(nil)
 
 // New returns an incremental analyzer over eng and store. fingerprint
 // must identify the tool build and configuration profile (the engine's
@@ -54,38 +51,19 @@ func New(eng *taint.Engine, store *Store, fingerprint string, rec *obs.Recorder)
 // is a scheduling strategy, not a different tool.
 func (a *Analyzer) Name() string { return a.eng.Name() }
 
-// Analyze scans target with artifact reuse.
-func (a *Analyzer) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
-	res, _, err := a.AnalyzeWithReport(target)
-	return res, err
-}
-
-// AnalyzeContext scans target with artifact reuse under a context and
-// resource budgets (the analyzer.Analyzer contract).
-func (a *Analyzer) AnalyzeContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, error) {
-	res, _, err := a.AnalyzeWithReportContext(ctx, target, opts)
-	return res, err
-}
-
-// AnalyzeWithReport scans target with artifact reuse and also returns
-// the reuse report.
-func (a *Analyzer) AnalyzeWithReport(target *analyzer.Target) (*analyzer.Result, *Report, error) {
-	return a.AnalyzeWithReportContext(context.Background(), target, nil)
-}
-
-// AnalyzeWithReportContext is AnalyzeWithReport under a context and
-// resource budgets. A cancelled scan returns the partial result with
-// the error and writes nothing back; a truncated or crash-isolated
-// scan exports no artifacts (the engine withholds them), so the store
-// never receives partial per-file state.
-func (a *Analyzer) AnalyzeWithReportContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, *Report, error) {
+// Analyze scans target with artifact reuse under a context and
+// resource budgets and also returns the reuse report. A cancelled scan
+// returns the partial result with the error and writes nothing back; a
+// truncated or crash-isolated scan exports no artifacts (the engine
+// withholds them), so the store never receives partial per-file state.
+func (a *Analyzer) Analyze(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, *Report, error) {
 	if target == nil {
 		return nil, nil, fmt.Errorf("incremental: nil target")
 	}
 	plan := BuildPlan(a.store, a.eng, a.fingerprint, target)
 
 	start := time.Now()
-	res, arts, err := a.eng.AnalyzeIncrementalContext(ctx, target, opts, plan.Seed)
+	res, arts, err := a.eng.AnalyzeIncremental(ctx, target, opts, plan.Seed)
 	if err != nil {
 		return res, nil, err
 	}

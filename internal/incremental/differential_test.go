@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -30,18 +31,18 @@ func TestDifferentialColdVsWarmCorpus(t *testing.T) {
 			inc := New(eng, store, "diff-test", nil)
 
 			// Populate the store from the original plugin version.
-			if _, _, err := inc.AnalyzeWithReport(target); err != nil {
+			if _, _, err := inc.Analyze(context.Background(), target, nil); err != nil {
 				t.Fatalf("baseline scan: %v", err)
 			}
 
 			// Touch one file — the canonical new-plugin-version edit.
 			dirty := Touch(target, len(target.Files)/2, 1)
 
-			warm, rep, err := inc.AnalyzeWithReport(dirty)
+			warm, rep, err := inc.Analyze(context.Background(), dirty, nil)
 			if err != nil {
 				t.Fatalf("warm scan: %v", err)
 			}
-			cold, err := eng.Analyze(dirty)
+			cold, err := eng.AnalyzeContext(context.Background(), dirty, nil)
 			if err != nil {
 				t.Fatalf("cold scan: %v", err)
 			}

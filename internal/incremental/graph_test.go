@@ -11,7 +11,7 @@ import (
 func parseAll(srcs map[string]string) map[string]*phpast.File {
 	out := make(map[string]*phpast.File, len(srcs))
 	for p, s := range srcs {
-		out[p] = phpparse.Parse(p, s)
+		out[p] = phpparse.Parse(p, s, phpparse.Options{})
 	}
 	return out
 }

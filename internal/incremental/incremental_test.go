@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestWarmScanIdenticalAndReuses(t *testing.T) {
 	inc := New(eng, store, "test", rec)
 
 	base := SyntheticTarget(8)
-	coldRes, rep, err := inc.AnalyzeWithReport(base)
+	coldRes, rep, err := inc.Analyze(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("cold scan: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestWarmScanIdenticalAndReuses(t *testing.T) {
 	}
 
 	// Unchanged rescan: everything reuses, result identical.
-	warmRes, rep, err := inc.AnalyzeWithReport(base)
+	warmRes, rep, err := inc.Analyze(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("warm scan: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestWarmScanIdenticalAndReuses(t *testing.T) {
 	// One-file-dirty rescan: exactly one component re-analyzed, and the
 	// result matches a cold scan of the dirty target.
 	dirty := Touch(base, 3, 1)
-	warmDirty, rep, err := inc.AnalyzeWithReport(dirty)
+	warmDirty, rep, err := inc.Analyze(context.Background(), dirty, nil)
 	if err != nil {
 		t.Fatalf("warm dirty scan: %v", err)
 	}
@@ -87,7 +88,7 @@ func TestWarmScanIdenticalAndReuses(t *testing.T) {
 	if rep.InvalidatedFiles != 1 {
 		t.Fatalf("dirty report invalidated=%d, want 1", rep.InvalidatedFiles)
 	}
-	coldDirty, err := eng.Analyze(dirty)
+	coldDirty, err := eng.AnalyzeContext(context.Background(), dirty, nil)
 	if err != nil {
 		t.Fatalf("cold dirty scan: %v", err)
 	}
@@ -121,7 +122,7 @@ func TestChangedFileInvalidatesDependents(t *testing.T) {
 		Content: `<?php echo strip_tags($_GET['z']);`}
 	base := &analyzer.Target{Name: "dep", Files: []analyzer.SourceFile{lib, app, loner}}
 
-	if _, _, err := inc.AnalyzeWithReport(base); err != nil {
+	if _, _, err := inc.Analyze(context.Background(), base, nil); err != nil {
 		t.Fatalf("cold: %v", err)
 	}
 
@@ -131,7 +132,7 @@ func TestChangedFileInvalidatesDependents(t *testing.T) {
 		{Path: "lib.php", Content: `<?php function emit($x) { echo htmlspecialchars($x); }`},
 		app, loner,
 	}}
-	res, rep, err := inc.AnalyzeWithReport(changed)
+	res, rep, err := inc.Analyze(context.Background(), changed, nil)
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestChangedFileInvalidatesDependents(t *testing.T) {
 			t.Fatalf("stale finding survived dependency change: %+v", f)
 		}
 	}
-	cold, err := eng.Analyze(changed)
+	cold, err := eng.AnalyzeContext(context.Background(), changed, nil)
 	if err != nil {
 		t.Fatalf("cold changed: %v", err)
 	}
@@ -163,7 +164,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	cold, _, err := New(eng, s1, "test", nil).AnalyzeWithReport(base)
+	cold, _, err := New(eng, s1, "test", nil).Analyze(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -174,7 +175,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore(2): %v", err)
 	}
-	warm, rep, err := New(eng, s2, "test", nil).AnalyzeWithReport(base)
+	warm, rep, err := New(eng, s2, "test", nil).Analyze(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -191,10 +192,10 @@ func TestFingerprintSeparatesArtifacts(t *testing.T) {
 	store := memStore(t, nil)
 	base := SyntheticTarget(2)
 
-	if _, _, err := New(eng, store, "fp-a", nil).AnalyzeWithReport(base); err != nil {
+	if _, _, err := New(eng, store, "fp-a", nil).Analyze(context.Background(), base, nil); err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	_, rep, err := New(eng, store, "fp-b", nil).AnalyzeWithReport(base)
+	_, rep, err := New(eng, store, "fp-b", nil).Analyze(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("other fingerprint: %v", err)
 	}
@@ -219,11 +220,11 @@ function pipeline($a, $b) {
 }
 `},
 	}}
-	cold, _, err := inc.AnalyzeWithReport(target)
+	cold, _, err := inc.Analyze(context.Background(), target, nil)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	warm, rep, err := inc.AnalyzeWithReport(target)
+	warm, rep, err := inc.Analyze(context.Background(), target, nil)
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}

@@ -72,7 +72,7 @@ func BuildPlan(store *Store, eng *taint.Engine, fingerprint string, target *anal
 		p.Hashes[sf.Path] = HashFile(sf.Content)
 		f, ok := store.AST(sf.Path, sf.Content)
 		if !ok {
-			f = phpparse.Parse(sf.Path, sf.Content)
+			f = phpparse.Parse(sf.Path, sf.Content, phpparse.Options{})
 			store.PutAST(sf.Path, sf.Content, f)
 		}
 		files[sf.Path] = f

@@ -47,7 +47,7 @@ func BenchmarkLexAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(src)))
 	for i := 0; i < b.N; i++ {
-		PutTokens(TokenizeCode(src))
+		PutTokens(TokenizeCode(src, nil, nil, nil))
 	}
 }
 
@@ -55,9 +55,9 @@ func BenchmarkLexAllocs(b *testing.B) {
 // PutTokens cycle, after a warm-up pass that populates the buffer pool.
 func lexAllocsPerOp() float64 {
 	src := benchSource()
-	PutTokens(TokenizeCode(src))
+	PutTokens(TokenizeCode(src, nil, nil, nil))
 	return testing.AllocsPerRun(200, func() {
-		PutTokens(TokenizeCode(src))
+		PutTokens(TokenizeCode(src, nil, nil, nil))
 	})
 }
 

@@ -31,11 +31,10 @@ func getTokenBuf(capHint int) []phptoken.Token {
 	return make([]phptoken.Token, 0, capHint)
 }
 
-// PutTokens hands a token stream obtained from TokenizeCode,
-// TokenizeCodeObserved or TokenizeCodeGoverned back to the pool. The
-// caller must not touch the slice afterwards. Putting a slice that was
-// not obtained from those functions is allowed; it just donates the
-// backing array.
+// PutTokens hands a token stream obtained from TokenizeCode back to
+// the pool. The caller must not touch the slice afterwards. Putting a
+// slice that was not obtained from TokenizeCode is allowed; it just
+// donates the backing array.
 func PutTokens(toks []phptoken.Token) {
 	if cap(toks) == 0 {
 		return
@@ -72,8 +71,7 @@ func lowerASCIISlow(s string, first int) string {
 
 // Interner deduplicates lowercase identifier spellings. It is
 // deliberately not synchronized: the parallel pipeline gives each
-// worker its own shard and merges them at the barrier with Merge, so
-// the hot path stays lock-free.
+// worker its own shard, so the hot path stays lock-free.
 type Interner struct {
 	m map[string]string
 }
@@ -99,20 +97,6 @@ func (in *Interner) Lower(s string) string {
 	// anyway.
 	in.m[low] = low
 	return low
-}
-
-// Merge folds another shard's entries into in. Entries already present
-// win, so merging in deterministic shard order yields a deterministic
-// table. Merge of or with nil is a no-op.
-func (in *Interner) Merge(other *Interner) {
-	if in == nil || other == nil {
-		return
-	}
-	for k, v := range other.m {
-		if _, ok := in.m[k]; !ok {
-			in.m[k] = v
-		}
-	}
 }
 
 // Len reports the number of distinct interned spellings.

@@ -48,25 +48,11 @@ func TestInternerDedupes(t *testing.T) {
 	}
 }
 
-func TestInternerMerge(t *testing.T) {
-	a, b := NewInterner(), NewInterner()
-	a.Lower("shared")
-	b.Lower("shared")
-	b.Lower("only_b")
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Errorf("merged Len = %d, want 2", a.Len())
-	}
-	// Merges with nil on either side are no-ops, not panics.
-	a.Merge(nil)
-	(*Interner)(nil).Merge(a)
-}
-
 func TestPutTokensRoundTrip(t *testing.T) {
 	PutTokens(nil) // zero-cap donation is a no-op
 
 	src := "<?php $x = $_GET['a']; echo $x;"
-	toks := TokenizeCode(src)
+	toks := TokenizeCode(src, nil, nil, nil)
 	if len(toks) == 0 {
 		t.Fatal("no tokens")
 	}
@@ -77,7 +63,7 @@ func TestPutTokensRoundTrip(t *testing.T) {
 
 	// The next lex must produce the same stream whether or not it got
 	// the recycled backing array.
-	again := TokenizeCode(src)
+	again := TokenizeCode(src, nil, nil, nil)
 	if len(again) != len(want) {
 		t.Fatalf("relexed %d tokens, want %d", len(again), len(want))
 	}

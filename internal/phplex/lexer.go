@@ -75,60 +75,20 @@ func Tokenize(src string) []phptoken.Token {
 // (trivia removed), matching phpSAFE's cleaned AST input (paper §III.B).
 // The stream is filtered in a single pass straight into a pooled buffer;
 // callers that are done with the stream may return it with PutTokens.
-func TokenizeCode(src string) []phptoken.Token {
-	code, _ := tokenizeCode(src)
-	return code
-}
-
-// tokenizeCode is the single-pass core shared by the TokenizeCode
-// variants: it lexes and drops trivia in one loop (no intermediate
-// all-tokens slice) and reports the total token count, trivia included,
-// for the lex_tokens_total counter.
-func tokenizeCode(src string) (code []phptoken.Token, total int) {
+//
+// A non-nil recorder records lexing cost: tokens lexed (trivia
+// included) into lex_tokens_total, source lines into lex_lines_total,
+// and lex time under parent as a "lex" span observed into the
+// stage_lex_seconds histogram. A non-nil governor adds a checkpoint per
+// token: when it halts (cancellation, scan deadline, step budget, file
+// slice) lexing stops and the stream is terminated with an early EOF,
+// so the parser sees a truncated but well-formed input. Nil means
+// unobserved or ungoverned.
+func TokenizeCode(src string, rec *obs.Recorder, parent *obs.Span, gov *govern.Governor) []phptoken.Token {
+	sp := rec.StartSpan("lex", parent)
 	l := New(src)
 	// A rough pre-size: PHP averages about one code token per 6 bytes
 	// once whitespace and comments are dropped.
-	code = getTokenBuf(len(src)/6 + 8)
-	for {
-		t := l.Next()
-		total++
-		if !t.IsTrivia() {
-			code = append(code, t)
-		}
-		if t.Kind == phptoken.EOF {
-			return code, total
-		}
-	}
-}
-
-// TokenizeCodeObserved is TokenizeCode with lexing cost recorded into a
-// recorder: tokens lexed (including trivia), source lines, and lex time
-// under parent as a "lex" span observed into the stage_lex_seconds
-// histogram. A nil recorder makes it identical to TokenizeCode.
-func TokenizeCodeObserved(src string, rec *obs.Recorder, parent *obs.Span) []phptoken.Token {
-	if rec == nil {
-		return TokenizeCode(src)
-	}
-	sp := rec.StartSpan("lex", parent)
-	code, total := tokenizeCode(src)
-	sp.EndAndObserve("stage_lex_seconds")
-	rec.Counter("lex_tokens_total").Add(int64(total))
-	rec.Counter("lex_lines_total").Add(int64(strings.Count(src, "\n") + 1))
-	return code
-}
-
-// TokenizeCodeGoverned is TokenizeCodeObserved with a governance
-// checkpoint per token: when the governor halts (cancellation, scan
-// deadline, step budget, file slice) lexing stops and the stream is
-// terminated with an early EOF, so the parser sees a truncated but
-// well-formed input. A nil governor makes it identical to
-// TokenizeCodeObserved.
-func TokenizeCodeGoverned(src string, rec *obs.Recorder, parent *obs.Span, gov *govern.Governor) []phptoken.Token {
-	if gov == nil {
-		return TokenizeCodeObserved(src, rec, parent)
-	}
-	sp := rec.StartSpan("lex", parent)
-	l := New(src)
 	code := getTokenBuf(len(src)/6 + 8)
 	total := 0
 	for {

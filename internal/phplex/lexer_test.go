@@ -10,7 +10,7 @@ import (
 
 // kinds extracts the kind sequence of non-trivia tokens, dropping EOF.
 func kinds(src string) []phptoken.Kind {
-	toks := TokenizeCode(src)
+	toks := TokenizeCode(src, nil, nil, nil)
 	out := make([]phptoken.Kind, 0, len(toks))
 	for _, t := range toks {
 		if t.Kind == phptoken.EOF {
@@ -23,7 +23,7 @@ func kinds(src string) []phptoken.Kind {
 
 // texts extracts the text sequence of non-trivia tokens, dropping EOF.
 func texts(src string) []string {
-	toks := TokenizeCode(src)
+	toks := TokenizeCode(src, nil, nil, nil)
 	out := make([]string, 0, len(toks))
 	for _, t := range toks {
 		if t.Kind == phptoken.EOF {
@@ -143,7 +143,7 @@ func TestTokenizeNumbers(t *testing.T) {
 		{`<?php 2E-3;`, phptoken.FloatLit, "2E-3"},
 	}
 	for _, tt := range tests {
-		toks := TokenizeCode(tt.src)
+		toks := TokenizeCode(tt.src, nil, nil, nil)
 		if len(toks) < 2 {
 			t.Fatalf("%q: too few tokens", tt.src)
 		}

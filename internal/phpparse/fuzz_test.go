@@ -28,7 +28,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		file := Parse("fuzz.php", src)
+		file := Parse("fuzz.php", src, Options{})
 		if file == nil {
 			t.Fatal("Parse returned nil")
 		}

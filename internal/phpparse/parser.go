@@ -20,55 +20,49 @@ import (
 	"repro/internal/phptoken"
 )
 
+// Options carries the optional collaborators of a parse. The zero value
+// parses unobserved, ungoverned and uninterned.
+type Options struct {
+	// Recorder records model-construction cost: a "parse:<name>" span
+	// under Parent (with a nested "lex" span from the lexer), parse time
+	// in the stage_parse_seconds histogram, and the
+	// parse_ast_nodes_total / parse_errors_total / parse_files_total
+	// counters. The counting walk only runs when it is set.
+	Recorder *obs.Recorder
+	Parent   *obs.Span
+	// Gov is the scan's resource governor: lexing and statement parsing
+	// carry cancellation checkpoints (a halted governor terminates the
+	// token stream and the statement list early, yielding a truncated but
+	// well-formed AST), and expression/statement nesting is bounded by
+	// its parse-depth budget — deeper constructs degrade to Bad nodes
+	// with a recorded error, exactly like other malformed input. A nil
+	// governor still applies the default depth budget, so the parser is
+	// stack-safe on hostile input everywhere.
+	Gov *govern.Governor
+	// Interner deduplicates the case-folded names the parser
+	// materializes (function, class, method and call-site names), so each
+	// distinct spelling is allocated once per scan instead of once per
+	// reference. It is not synchronized: the parallel pipeline hands each
+	// worker its own shard. A nil interner still folds case, it just
+	// doesn't deduplicate.
+	Interner *phplex.Interner
+}
+
 // Parse parses PHP source text and returns the file's AST. The returned
 // file always has a usable (possibly partial) statement list; recoverable
 // problems are listed in File.Errors.
-func Parse(name, src string) *phpast.File {
-	return ParseObserved(name, src, nil, nil)
-}
-
-// ParseObserved is Parse with model-construction cost recorded into a
-// recorder: a "parse:<name>" span under parent (with a nested "lex"
-// span from the lexer), parse time in the stage_parse_seconds
-// histogram, and the parse_ast_nodes_total / parse_errors_total /
-// parse_files_total counters. A nil recorder makes it identical to
-// Parse — the counting walk only runs when observation is on, so the
-// unobserved hot path stays unchanged.
-func ParseObserved(name, src string, rec *obs.Recorder, parent *obs.Span) *phpast.File {
-	return ParseGoverned(name, src, rec, parent, nil)
-}
-
-// ParseGoverned is ParseObserved under a resource governor: lexing and
-// statement parsing carry cancellation checkpoints (a halted governor
-// terminates the token stream and the statement list early, yielding a
-// truncated but well-formed AST), and expression/statement nesting is
-// bounded by the governor's parse-depth budget — deeper constructs
-// degrade to Bad nodes with a recorded error, exactly like other
-// malformed input. A nil governor still applies the default depth
-// budget, so the parser is stack-safe on hostile input everywhere.
-func ParseGoverned(name, src string, rec *obs.Recorder, parent *obs.Span, gov *govern.Governor) *phpast.File {
-	return ParseInterned(name, src, rec, parent, gov, nil)
-}
-
-// ParseInterned is ParseGoverned with an identifier intern table: the
-// case-folded names the parser materializes (function, class, method
-// and call-site names) are deduplicated through in, so each distinct
-// spelling is allocated once per scan instead of once per reference.
-// The interner is not synchronized — the parallel pipeline hands each
-// worker its own shard and merges them at the barrier. A nil interner
-// still folds case (with the same ASCII fast path), it just doesn't
-// deduplicate.
-func ParseInterned(name, src string, rec *obs.Recorder, parent *obs.Span, gov *govern.Governor, in *phplex.Interner) *phpast.File {
-	sp := rec.StartNamedSpan("parse:", name, parent)
+func Parse(name, src string, o Options) *phpast.File {
+	rec := o.Recorder
+	sp := rec.StartNamedSpan("parse:", name, o.Parent)
 	p := &parser{
-		toks: phplex.TokenizeCodeGoverned(src, rec, sp, gov),
+		toks: phplex.TokenizeCode(src, rec, sp, o.Gov),
 		file: &phpast.File{
 			Name:  name,
 			Lines: strings.Count(src, "\n") + 1,
 		},
-		gov:      gov,
-		maxDepth: gov.MaxParseDepth(),
-		in:       in,
+		gov:      o.Gov,
+		maxDepth: o.Gov.MaxParseDepth(),
+		in:       o.Interner,
 	}
 	p.file.Stmts = p.parseStmtList(func(t phptoken.Token) bool { return false })
 	// The AST holds no references into the token stream (names are

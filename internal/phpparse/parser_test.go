@@ -12,7 +12,7 @@ import (
 // mustParse parses src and fails the test on recorded errors.
 func mustParse(t *testing.T, src string) *phpast.File {
 	t.Helper()
-	f := Parse("test.php", src)
+	f := Parse("test.php", src, Options{})
 	if len(f.Errors) > 0 {
 		t.Fatalf("parse errors: %v", f.Errors)
 	}
@@ -548,7 +548,7 @@ func TestParseErrorRecovery(t *testing.T) {
 	t.Parallel()
 	// Malformed input parses with errors but terminates and keeps later
 	// statements.
-	f := Parse("bad.php", `<?php $x = ; echo $ok;`)
+	f := Parse("bad.php", `<?php $x = ; echo $ok;`, Options{})
 	if len(f.Errors) == 0 {
 		t.Fatal("expected parse errors")
 	}
@@ -610,7 +610,7 @@ func TestParseNeverPanicsOrHangs(t *testing.T) {
 		src := src
 		t.Run(fmt.Sprintf("%.20q", src), func(t *testing.T) {
 			t.Parallel()
-			f := Parse("x.php", src)
+			f := Parse("x.php", src, Options{})
 			if f == nil {
 				t.Fatal("Parse returned nil")
 			}
@@ -624,7 +624,7 @@ func TestParseNeverPanicsOrHangs(t *testing.T) {
 func TestQuickParseTerminates(t *testing.T) {
 	t.Parallel()
 	f := func(body string) bool {
-		file := Parse("fuzz.php", "<?php "+body)
+		file := Parse("fuzz.php", "<?php "+body, Options{})
 		return file != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 800}); err != nil {
@@ -638,7 +638,7 @@ func TestQuickStmtLinesWithinFile(t *testing.T) {
 	t.Parallel()
 	f := func(body string) bool {
 		src := "<?php\n" + body
-		file := Parse("fuzz.php", src)
+		file := Parse("fuzz.php", src, Options{})
 		ok := true
 		phpast.InspectStmts(file.Stmts, func(n phpast.Node) bool {
 			if n.Pos() < 0 || n.Pos() > file.Lines+1 {
@@ -674,6 +674,6 @@ class Mail_Subscribe extends WP_Widget {
 `
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Parse("bench.php", src)
+		Parse("bench.php", src, Options{})
 	}
 }

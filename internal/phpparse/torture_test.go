@@ -136,7 +136,7 @@ echo $short, ' & done';
 
 func TestTortureFileParses(t *testing.T) {
 	t.Parallel()
-	f := Parse("torture.php", tortureSource)
+	f := Parse("torture.php", tortureSource, Options{})
 	// The spaceship operator <=> is PHP 7; our PHP 5 parser degrades on
 	// that single line, everything else must be clean.
 	if len(f.Errors) > 2 {
@@ -194,7 +194,7 @@ func TestTortureFileParses(t *testing.T) {
 
 func TestTortureClassDetails(t *testing.T) {
 	t.Parallel()
-	f := Parse("torture.php", tortureSource)
+	f := Parse("torture.php", tortureSource, Options{})
 	var base, widget *phpast.ClassDecl
 	phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
 		if cd, ok := n.(*phpast.ClassDecl); ok {

@@ -19,13 +19,13 @@ func TestCorpusRoundTrip(t *testing.T) {
 	for _, c := range []*corpus.Corpus{c12, c14} {
 		for _, target := range c.Targets {
 			for _, file := range target.Files {
-				orig := phpparse.Parse(file.Path, file.Content)
+				orig := phpparse.Parse(file.Path, file.Content, phpparse.Options{})
 				if len(orig.Errors) > 0 {
 					t.Fatalf("%s/%s: corpus file has parse errors: %v",
 						target.Name, file.Path, orig.Errors)
 				}
 				printed := File(orig)
-				re := phpparse.Parse(file.Path, printed)
+				re := phpparse.Parse(file.Path, printed, phpparse.Options{})
 				if len(re.Errors) > 0 {
 					t.Fatalf("%s/%s: printed form has parse errors: %v\n%s",
 						target.Name, file.Path, re.Errors[:min(3, len(re.Errors))], printed)
@@ -76,12 +76,12 @@ func TestQuickPrintedFormAlwaysParses(t *testing.T) {
 			tpl := snippets[int(pk)%len(snippets)]
 			src += replaceCount(tpl, i) + "\n"
 		}
-		orig := phpparse.Parse("gen.php", src)
+		orig := phpparse.Parse("gen.php", src, phpparse.Options{})
 		if len(orig.Errors) > 0 {
 			return true // the generator built something odd; skip
 		}
 		printed := File(orig)
-		re := phpparse.Parse("gen2.php", printed)
+		re := phpparse.Parse("gen2.php", printed, phpparse.Options{})
 		return len(re.Errors) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

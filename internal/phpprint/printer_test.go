@@ -13,12 +13,12 @@ import (
 // first normalization).
 func roundTrip(t *testing.T, src string) string {
 	t.Helper()
-	f1 := phpparse.Parse("a.php", src)
+	f1 := phpparse.Parse("a.php", src, phpparse.Options{})
 	if len(f1.Errors) > 0 {
 		t.Fatalf("first parse errors: %v", f1.Errors)
 	}
 	out1 := File(f1)
-	f2 := phpparse.Parse("b.php", out1)
+	f2 := phpparse.Parse("b.php", out1, phpparse.Options{})
 	if len(f2.Errors) > 0 {
 		t.Fatalf("reparse errors: %v\nprinted:\n%s", f2.Errors, out1)
 	}
@@ -146,7 +146,7 @@ func TestStringQuoting(t *testing.T) {
 
 func TestExprHelper(t *testing.T) {
 	t.Parallel()
-	f := phpparse.Parse("x.php", `<?php $a = $b . 'c';`)
+	f := phpparse.Parse("x.php", `<?php $a = $b . 'c';`, phpparse.Options{})
 	as := f.Stmts[0].(*phpast.ExprStmt).X
 	if got := Expr(as); got != `$a = $b . 'c'` {
 		t.Fatalf("Expr = %q", got)
@@ -155,7 +155,7 @@ func TestExprHelper(t *testing.T) {
 
 func TestStmtsHelper(t *testing.T) {
 	t.Parallel()
-	f := phpparse.Parse("x.php", `<?php echo 1; echo 2;`)
+	f := phpparse.Parse("x.php", `<?php echo 1; echo 2;`, phpparse.Options{})
 	out := Stmts(f.Stmts)
 	if !strings.Contains(out, "echo 1;") || !strings.Contains(out, "echo 2;") {
 		t.Fatalf("Stmts = %q", out)

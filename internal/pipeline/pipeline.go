@@ -25,13 +25,11 @@ import (
 // ParseFiles parses every source file across a pool of workers and
 // returns the ASTs by path. Files present in preparsed (content-
 // addressed reuse from incremental scans) are taken as-is and skip the
-// pool. Each worker folds identifiers through its own interner shard;
-// the shards are merged in worker order at the barrier and the merged
-// table is returned so later (serial) stages can keep deduplicating
-// against it. workers follows ScanOptions.EffectiveFileWorkers: values
-// below one are clamped to a serial run, which executes under gov
-// itself with no goroutines — the exact legacy semantics.
-func ParseFiles(files []analyzer.SourceFile, preparsed map[string]*phpast.File, rec *obs.Recorder, parent *obs.Span, gov *govern.Governor, workers int) (map[string]*phpast.File, *phplex.Interner) {
+// pool. Each worker folds identifiers through its own interner shard.
+// workers follows ScanOptions.EffectiveFileWorkers: values below one
+// are clamped to a serial run, which executes under gov itself with no
+// goroutines — the exact legacy semantics.
+func ParseFiles(files []analyzer.SourceFile, preparsed map[string]*phpast.File, rec *obs.Recorder, parent *obs.Span, gov *govern.Governor, workers int) map[string]*phpast.File {
 	n := len(files)
 	if workers > n {
 		workers = n
@@ -53,15 +51,13 @@ func ParseFiles(files []analyzer.SourceFile, preparsed map[string]*phpast.File, 
 		// Under a halted governor the governed parser degenerates to an
 		// empty (but well-formed) AST, so a cancelled scan drains the
 		// front end in O(files).
-		out[idx] = phpparse.ParseInterned(sf.Path, sf.Content, rec, parent, child, shards[worker])
+		out[idx] = phpparse.Parse(sf.Path, sf.Content, phpparse.Options{
+			Recorder: rec, Parent: parent, Gov: child, Interner: shards[worker],
+		})
 	})
-	in := shards[0]
-	for _, shard := range shards[1:] {
-		in.Merge(shard)
-	}
 	m := make(map[string]*phpast.File, n)
 	for i, sf := range files {
 		m[sf.Path] = out[i]
 	}
-	return m, in
+	return m
 }

@@ -27,8 +27,8 @@ func sources(n int) []analyzer.SourceFile {
 // pipeline's determinism contract at the unit level.
 func TestParseFilesMatchesSerial(t *testing.T) {
 	files := sources(12)
-	serial, _ := ParseFiles(files, nil, nil, nil, nil, 1)
-	pooled, _ := ParseFiles(files, nil, nil, nil, nil, 8)
+	serial := ParseFiles(files, nil, nil, nil, nil, 1)
+	pooled := ParseFiles(files, nil, nil, nil, nil, 8)
 	if len(serial) != len(pooled) {
 		t.Fatalf("serial parsed %d files, pooled %d", len(serial), len(pooled))
 	}
@@ -47,9 +47,9 @@ func TestParseFilesMatchesSerial(t *testing.T) {
 // preparsed AST is adopted by pointer identity and never re-parsed.
 func TestParseFilesReusesPreparsed(t *testing.T) {
 	files := sources(4)
-	cached := phpparse.ParseGoverned(files[2].Path, files[2].Content, nil, nil, nil)
+	cached := phpparse.Parse(files[2].Path, files[2].Content, phpparse.Options{})
 	pre := map[string]*phpast.File{files[2].Path: cached}
-	got, _ := ParseFiles(files, pre, nil, nil, nil, 8)
+	got := ParseFiles(files, pre, nil, nil, nil, 8)
 	if got[files[2].Path] != cached {
 		t.Error("preparsed AST was not adopted by identity")
 	}
@@ -60,23 +60,18 @@ func TestParseFilesReusesPreparsed(t *testing.T) {
 	}
 }
 
-// TestParseFilesMergesInternerShards checks that spellings folded on
-// different workers all land in the merged table.
-func TestParseFilesMergesInternerShards(t *testing.T) {
+// TestParseFilesFoldsNamesOnEveryWorker checks that names folded
+// through different workers' interner shards all come out lowercased.
+func TestParseFilesFoldsNamesOnEveryWorker(t *testing.T) {
 	files := sources(16)
-	_, in := ParseFiles(files, nil, nil, nil, nil, 8)
-	if in == nil {
-		t.Fatal("nil interner")
-	}
-	// Every file contributes its own distinct handler name; all 16 must
-	// be present no matter which worker parsed which file.
-	if in.Len() < 16 {
-		t.Errorf("merged interner holds %d spellings, want at least 16", in.Len())
-	}
-	for i := 0; i < 16; i++ {
+	m := ParseFiles(files, nil, nil, nil, nil, 8)
+	// Every file declares its own distinct handler name; all 16 must be
+	// folded no matter which worker parsed which file.
+	for i, sf := range files {
 		want := fmt.Sprintf("handler%d", i)
-		if got := in.Lower(fmt.Sprintf("Handler%d", i)); got != want {
-			t.Errorf("Lower(Handler%d) = %q, want %q", i, got, want)
+		fn, ok := m[sf.Path].Stmts[0].(*phpast.FuncDecl)
+		if !ok || fn.Name != want {
+			t.Errorf("%s: first statement = %#v, want func %q", sf.Path, m[sf.Path].Stmts[0], want)
 		}
 	}
 }
@@ -84,11 +79,11 @@ func TestParseFilesMergesInternerShards(t *testing.T) {
 // TestParseFilesEmptyAndClamped covers the degenerate shapes: zero
 // files, and worker counts below one clamping to a serial run.
 func TestParseFilesEmptyAndClamped(t *testing.T) {
-	if m, in := ParseFiles(nil, nil, nil, nil, nil, 8); len(m) != 0 || in == nil {
-		t.Errorf("empty input: got %d files, interner %v", len(m), in)
+	if m := ParseFiles(nil, nil, nil, nil, nil, 8); len(m) != 0 {
+		t.Errorf("empty input: got %d files", len(m))
 	}
 	files := sources(3)
-	m, _ := ParseFiles(files, nil, nil, nil, nil, -1)
+	m := ParseFiles(files, nil, nil, nil, nil, -1)
 	if len(m) != 3 {
 		t.Errorf("clamped run parsed %d files, want 3", len(m))
 	}

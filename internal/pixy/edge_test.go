@@ -1,6 +1,7 @@
 package pixy
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -158,10 +159,10 @@ func TestQuickPixyNeverPanics(t *testing.T) {
 	t.Parallel()
 	eng := New()
 	f := func(body string) bool {
-		res, err := eng.Analyze(&analyzer.Target{
+		res, err := eng.AnalyzeContext(context.Background(), &analyzer.Target{
 			Name:  "fuzz",
 			Files: []analyzer.SourceFile{{Path: "fuzz.php", Content: "<?php " + body}},
-		})
+		}, nil)
 		return err == nil && res != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -96,12 +96,6 @@ func (e *Engine) WithRecorder(rec *obs.Recorder) *Engine {
 	return &clone
 }
 
-// Analyze scans one plugin target file by file with a background
-// context and default budgets.
-func (e *Engine) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
-	return e.AnalyzeContext(context.Background(), target, nil)
-}
-
 // AnalyzeContext scans one plugin target under a context and resource
 // budgets (the analyzer.Analyzer contract). Per-file analysis is
 // crash-isolated; a halted governor stops the scan between files and
@@ -119,7 +113,7 @@ func (e *Engine) AnalyzeContext(ctx context.Context, target *analyzer.Target, op
 	// Parse everything up front; function definitions resolve per file
 	// only (Pixy does not build a whole-plugin model).
 	msp := scan.StartChild("model")
-	files, _ := pipeline.ParseFiles(target.Files, nil, e.rec, msp, gov, workers)
+	files := pipeline.ParseFiles(target.Files, nil, e.rec, msp, gov, workers)
 	paths := make([]string, 0, len(target.Files))
 	for _, sf := range target.Files {
 		paths = append(paths, sf.Path)

@@ -1,6 +1,7 @@
 package pixy
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -9,10 +10,10 @@ import (
 // scan runs Pixy over one file.
 func scan(t *testing.T, src string) *analyzer.Result {
 	t.Helper()
-	res, err := New().Analyze(&analyzer.Target{
+	res, err := New().AnalyzeContext(context.Background(), &analyzer.Target{
 		Name:  "test-plugin",
 		Files: []analyzer.SourceFile{{Path: "plugin.php", Content: src}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -130,7 +131,7 @@ func TestIncludedDefinitionInvisible(t *testing.T) {
 	// $title is defined in another file; Pixy does not follow includes,
 	// so the read looks register_globals-injectable (false positive
 	// against ground truth).
-	res, err := New().Analyze(&analyzer.Target{
+	res, err := New().AnalyzeContext(context.Background(), &analyzer.Target{
 		Name: "multi",
 		Files: []analyzer.SourceFile{
 			{Path: "defs.php", Content: `<?php $title = 'Hello';`},
@@ -138,7 +139,7 @@ func TestIncludedDefinitionInvisible(t *testing.T) {
 include 'defs.php';
 echo $title;`},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -219,13 +220,13 @@ echo r($_GET['x']);`)
 
 func TestRobustnessAccounting(t *testing.T) {
 	t.Parallel()
-	res, err := New().Analyze(&analyzer.Target{
+	res, err := New().AnalyzeContext(context.Background(), &analyzer.Target{
 		Name: "mixed",
 		Files: []analyzer.SourceFile{
 			{Path: "oop.php", Content: `<?php class A {}`},
 			{Path: "proc.php", Content: `<?php echo 'ok';`},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

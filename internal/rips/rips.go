@@ -68,12 +68,6 @@ func (e *Engine) WithRecorder(rec *obs.Recorder) *Engine {
 	return &clone
 }
 
-// Analyze scans one plugin target file by file with a background
-// context and default budgets.
-func (e *Engine) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
-	return e.AnalyzeContext(context.Background(), target, nil)
-}
-
 // AnalyzeContext scans one plugin target under a context and resource
 // budgets (the analyzer.Analyzer contract). Per-file analysis is
 // crash-isolated; a halted governor stops the scan between files and
@@ -216,7 +210,7 @@ func buildModel(target *analyzer.Target, rec *obs.Recorder, parent *obs.Span, go
 		callSites: make(map[string][]callSite),
 		mains:     make(map[string]*funcModel, len(target.Files)),
 	}
-	m.files, _ = pipeline.ParseFiles(target.Files, nil, rec, parent, gov, workers)
+	m.files = pipeline.ParseFiles(target.Files, nil, rec, parent, gov, workers)
 	for _, sf := range target.Files {
 		m.fileOrder = append(m.fileOrder, sf.Path)
 	}

@@ -1,6 +1,7 @@
 package rips
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -10,10 +11,10 @@ import (
 // scan runs the default RIPS engine over one file.
 func scan(t *testing.T, src string) *analyzer.Result {
 	t.Helper()
-	res, err := New(rulepack.MustCompile("generic")).Analyze(&analyzer.Target{
+	res, err := New(rulepack.MustCompile("generic")).AnalyzeContext(context.Background(), &analyzer.Target{
 		Name:  "test-plugin",
 		Files: []analyzer.SourceFile{{Path: "plugin.php", Content: src}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -229,13 +230,13 @@ mysql_query("SELECT * FROM t WHERE a='$y'");`)
 
 func TestMultiFileIndependence(t *testing.T) {
 	t.Parallel()
-	res, err := New(rulepack.MustCompile("generic")).Analyze(&analyzer.Target{
+	res, err := New(rulepack.MustCompile("generic")).AnalyzeContext(context.Background(), &analyzer.Target{
 		Name: "multi",
 		Files: []analyzer.SourceFile{
 			{Path: "a.php", Content: `<?php echo $_GET['a'];`},
 			{Path: "b.php", Content: `<?php echo $_GET['b'];`},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -248,13 +249,13 @@ func TestMultiFileIndependence(t *testing.T) {
 func TestCrossFileFunctionResolution(t *testing.T) {
 	t.Parallel()
 	// Functions resolve target-wide even without include processing.
-	res, err := New(rulepack.MustCompile("generic")).Analyze(&analyzer.Target{
+	res, err := New(rulepack.MustCompile("generic")).AnalyzeContext(context.Background(), &analyzer.Target{
 		Name: "multi",
 		Files: []analyzer.SourceFile{
 			{Path: "lib.php", Content: `<?php function put($s) { echo $s; }`},
 			{Path: "main.php", Content: `<?php put($_GET['x']);`},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

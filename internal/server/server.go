@@ -664,6 +664,9 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	}
 	s.addScanLocked(sc)
 	s.active[key] = sc.ID
+	// The 202 answer describes the scan as accepted: a view taken after
+	// the pool has the job could already read done.
+	view := sc.viewLocked()
 	s.mu.Unlock()
 
 	// Record acceptance before the pool sees the job: a worker may
@@ -705,9 +708,6 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	s.log.Info("scan accepted",
 		"scan_id", sc.ID, "target", sc.Target.Name, "tool", sc.Tool,
 		"profile", sc.Profile, "files", len(sc.Target.Files))
-	s.mu.Lock()
-	view := sc.viewLocked()
-	s.mu.Unlock()
 	return sc.ID, http.StatusAccepted, view
 }
 
@@ -855,7 +855,7 @@ func (s *Server) runScanAttempt(ctx context.Context, sc *scan) error {
 		if engine, ok := sc.Engine.(*taint.Engine); ok && s.cfg.IncStore != nil {
 			inc := incremental.New(engine, s.cfg.IncStore,
 				fmt.Sprintf("%s|%s|%s", s.cfg.Fingerprint, sc.Tool, sc.Profile), s.rec)
-			r, incRep, aerr = inc.AnalyzeWithReportContext(scanCtx, sc.Target, sc.Opts)
+			r, incRep, aerr = inc.Analyze(scanCtx, sc.Target, sc.Opts)
 		} else {
 			r, aerr = sc.Engine.AnalyzeContext(scanCtx, sc.Target, sc.Opts)
 		}

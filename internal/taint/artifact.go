@@ -4,7 +4,7 @@ package taint
 // (serializable) function summaries. internal/incremental plans which
 // files of a snapshot may be reused from a previous scan and calls
 // AnalyzeIncremental with a Seed; everything here keeps that warm path
-// byte-identical to a cold Analyze.
+// byte-identical to a cold AnalyzeContext.
 //
 // The soundness contract is the planner's: a file may only be skipped
 // when every file it could interact with — via includes, cross-file
@@ -84,25 +84,19 @@ type PortableSummary struct {
 	Flows []PortableFlow `json:"flows,omitempty"`
 }
 
-// AnalyzeIncremental scans target like Analyze, replaying the seeded
-// files instead of re-analyzing them, and additionally returns the
-// per-file artifacts of every file it did analyze (for write-back into
-// the store). A nil seed makes it a cold scan that still exports
-// artifacts.
-func (e *Engine) AnalyzeIncremental(target *analyzer.Target, seed *Seed) (*analyzer.Result, map[string]*FileResult, error) {
-	return e.analyze(context.Background(), target, nil, seed, true)
-}
-
-// AnalyzeIncrementalContext is AnalyzeIncremental under a context and
-// resource budgets. A scan touched by any budget — truncation,
-// cancellation, a recovered panic — exports no artifacts: partial
-// per-file results must never be written back as reusable state.
-func (e *Engine) AnalyzeIncrementalContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions, seed *Seed) (*analyzer.Result, map[string]*FileResult, error) {
+// AnalyzeIncremental scans target like AnalyzeContext, replaying the
+// seeded files instead of re-analyzing them, and additionally returns
+// the per-file artifacts of every file it did analyze (for write-back
+// into the store). A nil seed makes it a cold scan that still exports
+// artifacts. A scan touched by any budget — truncation, cancellation,
+// a recovered panic — exports no artifacts: partial per-file results
+// must never be written back as reusable state.
+func (e *Engine) AnalyzeIncremental(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions, seed *Seed) (*analyzer.Result, map[string]*FileResult, error) {
 	return e.analyze(ctx, target, opts, seed, true)
 }
 
-// analyze is the shared scan pipeline behind Analyze, AnalyzeContext
-// and the incremental entry points.
+// analyze is the shared scan pipeline behind AnalyzeContext and
+// AnalyzeIncremental.
 func (e *Engine) analyze(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions, seed *Seed, export bool) (*analyzer.Result, map[string]*FileResult, error) {
 	if target == nil {
 		return nil, nil, fmt.Errorf("taint: nil target")

@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ func benchEngine(b *testing.B, summaries bool) {
 		Files: []analyzer.SourceFile{{Path: "bench.php", Content: repeatedCallSource(200)}},
 	}
 	// Both modes must find exactly the one real vulnerability.
-	res, err := engine.Analyze(target)
+	res, err := engine.AnalyzeContext(context.Background(), target, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func benchEngine(b *testing.B, summaries bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Analyze(target); err != nil {
+		if _, err := engine.AnalyzeContext(context.Background(), target, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +98,7 @@ $g->render();
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Analyze(target); err != nil {
+		if _, err := engine.AnalyzeContext(context.Background(), target, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

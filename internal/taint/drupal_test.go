@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -15,10 +16,10 @@ func drupalEngine() *Engine {
 // scanDrupal analyzes one Drupal module file.
 func scanDrupal(t *testing.T, src string) *analyzer.Result {
 	t.Helper()
-	res, err := drupalEngine().Analyze(&analyzer.Target{
+	res, err := drupalEngine().AnalyzeContext(context.Background(), &analyzer.Target{
 		Name:  "test-module",
 		Files: []analyzer.SourceFile{{Path: "test.module", Content: src}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

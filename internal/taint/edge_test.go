@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -280,10 +281,10 @@ func TestQuickEngineNeverPanics(t *testing.T) {
 	t.Parallel()
 	eng := newTestEngine()
 	f := func(body string) bool {
-		res, err := eng.Analyze(&analyzer.Target{
+		res, err := eng.AnalyzeContext(context.Background(), &analyzer.Target{
 			Name:  "fuzz",
 			Files: []analyzer.SourceFile{{Path: "fuzz.php", Content: "<?php " + body}},
-		})
+		}, nil)
 		return err == nil && res != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -303,10 +304,10 @@ func TestQuickManyEchoesBounded(t *testing.T) {
 		for i := 0; i < count; i++ {
 			fmt.Fprintf(&sb, "echo $_GET['k%d'];\n", i)
 		}
-		res, err := eng.Analyze(&analyzer.Target{
+		res, err := eng.AnalyzeContext(context.Background(), &analyzer.Target{
 			Name:  "gen",
 			Files: []analyzer.SourceFile{{Path: "gen.php", Content: sb.String()}},
-		})
+		}, nil)
 		return err == nil && len(res.Findings) == count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

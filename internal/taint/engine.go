@@ -117,13 +117,6 @@ type scanStats struct {
 	sinkChecks       int64
 }
 
-// Analyze scans one plugin target with a background context and default
-// budgets. It is a thin adapter over AnalyzeContext for callers that
-// need neither cancellation nor custom budgets.
-func (e *Engine) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
-	return e.AnalyzeContext(context.Background(), target, nil)
-}
-
 // AnalyzeContext scans one plugin target under a context and resource
 // budgets (the analyzer.Analyzer contract).
 // Cancellation returns the partial result plus an error wrapping
@@ -310,7 +303,7 @@ func newAnalysis(e *Engine, target *analyzer.Target) *analysis {
 // inventory below links them into one model, which runs serially over
 // the sorted file order exactly as before.
 func (a *analysis) buildModel(modelSpan *obs.Span) {
-	files, _ := pipeline.ParseFiles(a.target.Files, a.preparsed, a.eng.rec, modelSpan, a.gov, a.fileWorkers)
+	files := pipeline.ParseFiles(a.target.Files, a.preparsed, a.eng.rec, modelSpan, a.gov, a.fileWorkers)
 	a.files = files
 	for _, sf := range a.target.Files {
 		a.fileOrder = append(a.fileOrder, sf.Path)

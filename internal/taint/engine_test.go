@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,10 +20,10 @@ func scan(t *testing.T, src string) *analyzer.Result {
 func scanOpts(t *testing.T, opts Options, src string) *analyzer.Result {
 	t.Helper()
 	eng := New(rulepack.MustCompile("wordpress"), opts)
-	res, err := eng.Analyze(&analyzer.Target{
+	res, err := eng.AnalyzeContext(context.Background(), &analyzer.Target{
 		Name:  "test-plugin",
 		Files: []analyzer.SourceFile{{Path: "plugin.php", Content: src}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -37,7 +38,7 @@ func scanFiles(t *testing.T, files map[string]string) *analyzer.Result {
 		target.Files = append(target.Files, analyzer.SourceFile{Path: path, Content: content})
 	}
 	eng := New(rulepack.MustCompile("wordpress"), DefaultOptions())
-	res, err := eng.Analyze(target)
+	res, err := eng.AnalyzeContext(context.Background(), target, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

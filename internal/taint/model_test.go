@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -101,7 +102,7 @@ func TestModelNilTarget(t *testing.T) {
 	if _, err := eng.Model(nil); err == nil {
 		t.Fatal("nil target should error")
 	}
-	if _, err := eng.Analyze(nil); err == nil {
+	if _, err := eng.AnalyzeContext(context.Background(), nil, nil); err == nil {
 		t.Fatal("nil target should error in Analyze too")
 	}
 }

@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -73,10 +74,10 @@ func TestSuite(t *testing.T) {
 			content := string(raw)
 			want := parseExpectations(t, content)
 
-			res, err := engine.Analyze(&analyzer.Target{
+			res, err := engine.AnalyzeContext(context.Background(), &analyzer.Target{
 				Name:  entry.Name(),
 				Files: []analyzer.SourceFile{{Path: entry.Name(), Content: content}},
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,14 +119,14 @@ func TestSuiteBaselinesEnvelope(t *testing.T) {
 	}
 
 	php := New(rulepack.MustCompile("wordpress"), DefaultOptions())
-	res, err := php.Analyze(oopCase)
+	res, err := php.AnalyzeContext(context.Background(), oopCase, nil)
 	if err != nil || len(res.Findings) != 1 {
 		t.Fatalf("phpSAFE on OOP case: %v findings, err %v", len(res.Findings), err)
 	}
 
 	blind := DefaultOptions()
 	blind.OOP = false
-	res, err = New(rulepack.MustCompile("wordpress"), blind).Analyze(oopCase)
+	res, err = New(rulepack.MustCompile("wordpress"), blind).AnalyzeContext(context.Background(), oopCase, nil)
 	if err != nil || len(res.Findings) != 0 {
 		t.Fatalf("OOP-blind engine on OOP case: %d findings, err %v (must be 0)",
 			len(res.Findings), err)

@@ -63,7 +63,7 @@ func TestCompiledLookups(t *testing.T) {
 
 func TestStubSourceParses(t *testing.T) {
 	t.Parallel()
-	f := phpparse.Parse(StubPath, StubSource())
+	f := phpparse.Parse(StubPath, StubSource(), phpparse.Options{})
 	if len(f.Errors) > 0 {
 		t.Fatalf("stub parse errors: %v", f.Errors[:min(3, len(f.Errors))])
 	}

@@ -115,7 +115,7 @@ func TestParallelFaultDeterminism(t *testing.T) {
 		t.Fatal("plugin missing from corpus")
 	}
 
-	for _, eng := range eval.DefaultTools() {
+	for _, eng := range eval.Tools(nil) {
 		eng := eng
 		t.Run(eng.Name(), func(t *testing.T) {
 			var first []byte
