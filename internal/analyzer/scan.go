@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 )
@@ -64,6 +65,19 @@ func DefaultScanOptions() *ScanOptions {
 		MaxSteps:      DefaultMaxSteps,
 		MaxFindings:   DefaultMaxFindings,
 	}
+}
+
+// BudgetKey renders the budgets that can change a scan's output, for
+// cache keys: a result or incremental artifact made under one budget
+// set is never served to a scan under another. FileWorkers is
+// deliberately excluded: the worker count never changes output.
+func (o *ScanOptions) BudgetKey() string {
+	var deadline, slice time.Duration
+	if o != nil {
+		deadline, slice = o.Deadline, o.FileTimeSlice
+	}
+	return fmt.Sprintf("d%d:p%d:s%d:f%d:t%d", deadline, o.EffectiveMaxParseDepth(),
+		o.EffectiveMaxSteps(), o.EffectiveMaxFindings(), slice)
 }
 
 // EffectiveMaxParseDepth resolves the zero-means-default convention.

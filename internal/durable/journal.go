@@ -33,15 +33,16 @@
 //
 // Accounting. The journal files every line it holds, by its length, as
 // live or garbage. Live: each scan's latest accepted record and latest
-// completed/quarantined record, fleet_member and dispatch records, and
-// everything a snapshot holds. Garbage: started and attempt_failed
-// records, accepted and final records a later record of the same kind
-// superseded (re-acceptance retires the whole old pair), records of
-// scans the caller retired (Retire), and WAL records a snapshot already
-// absorbed. NeedsCompaction asks for a compaction only once garbage
-// outweighs both the live bytes and a floor, so compaction rewrites at
-// most as many bytes as it drops and disk use stays under
-// 2 × live + floor. Open rebuilds the same split from the files.
+// completed/quarantined record, fleet_member records, and everything a
+// snapshot holds. A fleet worker's dispatch_started and dispatch_settled
+// records count the same way as accepted and final records. Garbage:
+// started and attempt_failed records, accepted and final records a
+// later record of the same kind superseded (re-acceptance retires the
+// whole old pair), records of scans the caller retired (Retire), and
+// WAL records a snapshot already absorbed. NeedsCompaction asks for a
+// compaction only once garbage outweighs both the live bytes and a
+// floor, so compaction rewrites at most as many bytes as it drops and
+// disk use stays under 2 × live + floor. Open rebuilds the same split from the files.
 // Retirements are not journaled: the caller re-applies them as it
 // replays (the daemon's registry bound evicts the same scans again).
 //
@@ -110,13 +111,13 @@ const (
 // Record is one journal line. Payload is opaque to the journal; the
 // server stores its submission and result envelopes there.
 type Record struct {
-	Seq       uint64          `json:"seq"`
-	Type      RecordType      `json:"type"`
-	Time      time.Time       `json:"time"`
-	ScanID    string          `json:"scan,omitempty"`
-	Attempt   int             `json:"attempt,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	BackoffMS int64           `json:"backoff_ms,omitempty"`
+	Seq       uint64     `json:"seq"`
+	Type      RecordType `json:"type"`
+	Time      time.Time  `json:"time"`
+	ScanID    string     `json:"scan,omitempty"`
+	Attempt   int        `json:"attempt,omitempty"`
+	Error     string     `json:"error,omitempty"`
+	BackoffMS int64      `json:"backoff_ms,omitempty"`
 	// Worker names the fleet worker that executed the transition, when
 	// the daemon runs as a coordinator; empty in standalone mode. It
 	// makes the journal a forensic record of where each scan actually
@@ -478,8 +479,9 @@ func (j *Journal) compactLocked(live []Record) error {
 // set, so inSnapshot only attributes them to their scan.
 func (j *Journal) accountLocked(r Record, n int64, inSnapshot bool) {
 	sb := j.scans[r.ScanID]
+	final := r.Type == RecCompleted || r.Type == RecQuarantined || r.Type == RecDispatchSettled
 	switch {
-	case r.Type == RecAccepted:
+	case r.Type == RecAccepted || r.Type == RecDispatchStarted:
 		if sb == nil {
 			sb = &scanBytes{}
 			j.scans[r.ScanID] = sb
@@ -487,15 +489,14 @@ func (j *Journal) accountLocked(r Record, n int64, inSnapshot bool) {
 			j.dropLocked(sb)
 		}
 		sb.accepted += n
-	case sb != nil && (inSnapshot || r.Type == RecCompleted || r.Type == RecQuarantined):
+	case sb != nil && (inSnapshot || final):
 		if !inSnapshot {
 			j.live -= sb.final
 			j.garbage += sb.final
 			sb.final = 0
 		}
 		sb.final += n
-	case r.Type == RecStarted || r.Type == RecAttemptFailed ||
-		r.Type == RecCompleted || r.Type == RecQuarantined:
+	case r.Type == RecStarted || r.Type == RecAttemptFailed || final:
 		// Attempt bookkeeping, or a record whose scan has no accepted
 		// record left (retired, or lost in a damaged tail).
 		j.garbage += n

@@ -18,7 +18,10 @@
 // against to adopt still-running scans instead of resubmitting them,
 // and the journal is what lets a restarted *worker* replay its own
 // unfinished attempts — the coordinator's in-flight poll then finds
-// the replacement scan under the same coordinator id.
+// the replacement scan under the same coordinator id. Replay skips a
+// settled dispatch, so its records are retired as soon as it settles,
+// and the journal compacts on the daemon's rule (garbage ≥ max(floor,
+// live)): a long-lived worker's journal stays under 2 × live + floor.
 //
 // Everything else falls through to the standard API, which is what the
 // coordinator's poll loop uses (GET /v1/scans/{id}) and what makes a
@@ -30,6 +33,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -99,6 +103,12 @@ type Worker struct {
 	// early catches settles that raced ahead of their entry insert
 	// (cache-hit fast paths settle synchronously inside Accept).
 	early map[string]string // worker scan id → state
+	// live holds the dispatch_started record of every dispatch still
+	// open in the journal, by coordinator scan id: a compaction
+	// rewrites exactly this set.
+	live map[string]durable.Record
+	// compactFloor is the garbage floor of the compaction rule.
+	compactFloor int64
 }
 
 // NewWorker builds the fleet layer of a worker daemon.
@@ -108,10 +118,12 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		log = slog.Default()
 	}
 	return &Worker{
-		cfg:     cfg,
-		log:     log.With("component", "fleet_worker"),
-		entries: make(map[string]*dispatchEntry),
-		early:   make(map[string]string),
+		cfg:          cfg,
+		log:          log.With("component", "fleet_worker"),
+		entries:      make(map[string]*dispatchEntry),
+		early:        make(map[string]string),
+		live:         make(map[string]durable.Record),
+		compactFloor: server.DefaultCompactWALBytes,
 	}
 }
 
@@ -146,17 +158,42 @@ func (wk *Worker) OnSettle(workerScanID, state string) {
 	wk.mu.Unlock()
 }
 
-// journalSettledLocked appends a dispatch_settled record; caller holds
-// wk.mu (journal appends are cheap and internally locked).
+// journalSettledLocked appends a dispatch_settled record and retires
+// the dispatch: Replay never resubmits a settled dispatch, so the next
+// compaction may drop both its records. Caller holds wk.mu, which also
+// keeps appends out of a compaction.
 func (wk *Worker) journalSettledLocked(coordID, workerScanID, state string) {
-	if wk.cfg.Journal == nil {
+	j := wk.cfg.Journal
+	if j == nil {
 		return
 	}
 	raw, _ := json.Marshal(settlePayload{State: state, WorkerScanID: workerScanID})
 	// A failed append is counted by the journal itself.
-	wk.cfg.Journal.Append(durable.Record{
-		Type: durable.RecDispatchSettled, ScanID: coordID, Payload: raw,
-	})
+	j.Append(durable.Record{Type: durable.RecDispatchSettled, ScanID: coordID, Payload: raw})
+	delete(wk.live, coordID)
+	j.Retire(coordID)
+	wk.maybeCompactLocked()
+}
+
+// maybeCompactLocked compacts the journal down to the open dispatches'
+// started records once garbage ≥ max(floor, live), the daemon's rule.
+// Caller holds wk.mu.
+func (wk *Worker) maybeCompactLocked() {
+	j := wk.cfg.Journal
+	if !j.NeedsCompaction(wk.compactFloor) {
+		return
+	}
+	ids := make([]string, 0, len(wk.live))
+	for id := range wk.live {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	recs := make([]durable.Record, 0, len(ids))
+	for _, id := range ids {
+		recs = append(recs, wk.live[id])
+	}
+	// A failed compaction is counted (and degrades) in the journal.
+	j.Compact(recs)
 }
 
 // rec returns the worker's recorder (nil-safe: obs recorders accept a
@@ -190,17 +227,23 @@ func (wk *Worker) handleDispatch(w http.ResponseWriter, r *http.Request) {
 	// (coordinator retry after a severed exchange, a duplicated hedge)
 	// is not a new attempt: skip the journal record, let Accept's
 	// content dedup join the existing local scan.
+	var raw []byte
+	if wk.cfg.Journal != nil && wire.ScanID != "" {
+		raw, _ = json.Marshal(wire)
+	}
 	wk.mu.Lock()
 	e, known := wk.entries[wire.ScanID]
 	isNew := !known || settledDispatchState(e.State)
-	wk.mu.Unlock()
-	if isNew && wk.cfg.Journal != nil && wire.ScanID != "" {
-		raw, _ := json.Marshal(wire)
-		wk.cfg.Journal.Append(durable.Record{
-			Type: durable.RecDispatchStarted, ScanID: wire.ScanID,
-			Attempt: wire.Attempt, Payload: raw,
-		})
+	if isNew && raw != nil {
+		// The live copy keeps its time through a compaction.
+		r := durable.Record{
+			Type: durable.RecDispatchStarted, Time: time.Now().UTC(),
+			ScanID: wire.ScanID, Attempt: wire.Attempt, Payload: raw,
+		}
+		wk.live[wire.ScanID] = r
+		wk.cfg.Journal.Append(r)
 	}
+	wk.mu.Unlock()
 
 	id, status, body := wk.api.Accept(specFromWire(&wire))
 	wk.note(&wire, id, status, isNew)
@@ -310,8 +353,7 @@ func (wk *Worker) handleInflight(w http.ResponseWriter, r *http.Request) {
 // it through content dedup. Returns the number of replayed dispatches.
 func (wk *Worker) Replay(records []durable.Record) int {
 	type dispatchState struct {
-		wire    json.RawMessage
-		attempt int
+		started durable.Record
 		settled bool
 	}
 	open := make(map[string]*dispatchState)
@@ -322,12 +364,27 @@ func (wk *Worker) Replay(records []durable.Record) int {
 			if _, ok := open[r.ScanID]; !ok {
 				order = append(order, r.ScanID)
 			}
-			open[r.ScanID] = &dispatchState{wire: r.Payload, attempt: r.Attempt}
+			open[r.ScanID] = &dispatchState{started: r}
 		case durable.RecDispatchSettled:
 			if st, ok := open[r.ScanID]; ok {
 				st.settled = true
 			}
 		}
+	}
+	// Open reloads every record as live (retirements are not
+	// journaled): retire the settled dispatches again, and only then,
+	// with every open dispatch in the live set, consider compacting.
+	if j := wk.cfg.Journal; j != nil {
+		wk.mu.Lock()
+		for _, coordID := range order {
+			if st := open[coordID]; st.settled {
+				j.Retire(coordID)
+			} else {
+				wk.live[coordID] = st.started
+			}
+		}
+		wk.maybeCompactLocked()
+		wk.mu.Unlock()
 	}
 
 	replayed := 0
@@ -337,7 +394,7 @@ func (wk *Worker) Replay(records []durable.Record) int {
 			continue
 		}
 		var wire dispatchWire
-		if err := json.Unmarshal(st.wire, &wire); err != nil {
+		if err := json.Unmarshal(st.started.Payload, &wire); err != nil {
 			wk.rec().Counter("fleet_worker_replay_undecodable_total").Inc()
 			wk.log.Error("dispatch journal replay: undecodable record",
 				"scan_id", coordID, "error", err.Error())

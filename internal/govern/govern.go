@@ -199,6 +199,28 @@ func (g *Governor) Halted() bool { return g != nil && g.halted }
 // halt only stops the current file).
 func (g *Governor) ScanHalted() bool { return g != nil && g.halted && !g.fileScoped }
 
+// Clean polls the context and reports whether no budget has touched the
+// scan so far: it is not halted and no dimension is exhausted.
+func (g *Governor) Clean() bool {
+	g.CheckNow()
+	return g == nil || (!g.halted && len(g.dims) == 0)
+}
+
+// Charge bills n steps of earlier work (a cached parse) as if Step ran
+// n times. If one of those Steps would halt the scan, it charges
+// nothing and reports false: the caller redoes the work under Step.
+func (g *Governor) Charge(n int64) bool {
+	if g == nil {
+		return true
+	}
+	b := (g.steps + n) &^ (checkIntervalSteps - 1) // last checkpoint reached
+	if g.halted || (b > g.steps && b >= g.maxSteps) {
+		return false
+	}
+	g.steps += n
+	return true
+}
+
 // BeginFile opens a per-file accounting window: the file time slice
 // restarts. It also runs the test-only fault hook, which may panic —
 // callers invoke BeginFile inside Protect.

@@ -182,3 +182,36 @@ func TestFaultHookRunsInsideProtect(t *testing.T) {
 		t.Error("hook fired for the wrong file")
 	}
 }
+
+// TestChargeMatchesSteps: charging n steps succeeds exactly when n
+// Step calls from the same state would not halt on the step budget,
+// and then leaves the same step count behind.
+func TestChargeMatchesSteps(t *testing.T) {
+	for _, max := range []int64{1, 255, 256, 257, 600, 1024} {
+		for _, pre := range []int64{0, 100, 255, 256, 700} {
+			for _, n := range []int64{0, 1, 156, 200, 300, 900} {
+				opts := &analyzer.ScanOptions{MaxSteps: max}
+				stepped := New(context.Background(), opts, nil)
+				charged := New(context.Background(), opts, nil)
+				for i := int64(0); i < pre; i++ {
+					stepped.Step()
+					charged.Step()
+				}
+				for i := int64(0); i < n; i++ {
+					stepped.Step()
+				}
+				ok := charged.Charge(n)
+				if want := !stepped.Halted(); ok != want {
+					t.Fatalf("max %d pre %d n %d: Charge = %v, %d Steps halted = %v", max, pre, n, ok, n, !want)
+				}
+				if ok && charged.Steps() != stepped.Steps() {
+					t.Fatalf("max %d pre %d n %d: charged %d steps, stepped %d", max, pre, n, charged.Steps(), stepped.Steps())
+				}
+			}
+		}
+	}
+	var nilGov *Governor
+	if !nilGov.Charge(1 << 40) {
+		t.Error("nil governor refused a charge")
+	}
+}

@@ -22,9 +22,10 @@ type Report struct {
 	TimeSavedSeconds float64 `json:"time_saved_seconds"`
 }
 
-// Analyzer wraps a taint engine with artifact reuse: each scan plans a
-// reuse/re-analyze partition against the store, seeds the engine with
-// the reused files' recorded outcomes, and writes fresh artifacts back.
+// Analyzer wraps a taint engine with artifact reuse: each scan hands
+// the engine its AST-cache hits, plans a reuse/re-analyze partition on
+// the ASTs the engine's parse stage produced, replays the reused files'
+// recorded outcomes, and writes fresh artifacts back.
 // Warm results are byte-identical to a cold Engine.AnalyzeContext of the
 // same target (the differential test in this package holds that line).
 //
@@ -60,10 +61,10 @@ func (a *Analyzer) Analyze(ctx context.Context, target *analyzer.Target, opts *a
 	if target == nil {
 		return nil, nil, fmt.Errorf("incremental: nil target")
 	}
-	plan := BuildPlan(a.store, a.eng, a.fingerprint, target)
+	p, seed := buildPlan(a.store, a.eng, a.fingerprint, target, opts)
 
 	start := time.Now()
-	res, arts, err := a.eng.AnalyzeIncremental(ctx, target, opts, plan.Seed)
+	res, arts, err := a.eng.AnalyzeIncremental(ctx, target, opts, seed)
 	if err != nil {
 		return res, nil, err
 	}
@@ -73,35 +74,24 @@ func (a *Analyzer) Analyze(ctx context.Context, target *analyzer.Target, opts *a
 	// the scan's analysis time split evenly across the analyzed files —
 	// an estimate that makes the reuse reports' "time saved" additive.
 	perFile := 0.0
-	if len(plan.Analyze) > 0 {
-		perFile = elapsed / float64(len(plan.Analyze))
+	if len(p.analyze) > 0 {
+		perFile = elapsed / float64(len(p.analyze))
 	}
-	for _, path := range plan.Analyze {
+	for _, path := range p.analyze {
 		fr := arts[path]
 		if fr == nil {
 			continue
 		}
-		a.store.Put(plan.Keys[path], &Artifact{
+		a.store.Put(p.keys[path], &Artifact{
 			Path:            path,
-			FileHash:        plan.Hashes[path],
-			ComponentHash:   plan.Keys[path],
+			FileHash:        p.hashes[path],
+			ComponentHash:   p.keys[path],
 			AnalysisSeconds: perFile,
 			Result:          fr,
 		})
 	}
 
-	rep := &Report{
-		TotalFiles:       len(target.Files),
-		ReusedFiles:      len(plan.Reuse),
-		AnalyzedFiles:    len(plan.Analyze),
-		Components:       plan.Components,
-		ReusedComponents: plan.ReusedComponents,
-		InvalidatedFiles: plan.Invalidated,
-		TimeSavedSeconds: plan.TimeSavedSeconds,
-	}
-	if rep.TotalFiles > 0 {
-		rep.ReuseRatio = float64(rep.ReusedFiles) / float64(rep.TotalFiles)
-	}
+	rep := &p.Report
 	a.rec.Counter("inc_files_reused_total").Add(int64(rep.ReusedFiles))
 	a.rec.Counter("inc_files_analyzed_total").Add(int64(rep.AnalyzedFiles))
 	a.rec.Counter("inc_components_reused_total").Add(int64(rep.ReusedComponents))

@@ -10,76 +10,63 @@ import (
 	"repro/internal/taint"
 )
 
-// Plan is the partition of one snapshot into files whose artifacts are
-// replayed and files that must be re-analyzed, plus everything the
-// executor needs to seed the engine and write fresh artifacts back.
-type Plan struct {
-	// Reuse and Analyze partition the target's paths (both sorted).
-	Reuse   []string
-	Analyze []string
-
-	// Components / ReusedComponents count dependency components.
-	Components       int
-	ReusedComponents int
-
-	// Keys maps every path to its artifact key (component-closure
-	// addressed); Hashes maps every path to its content hash.
-	Keys   map[string]string
-	Hashes map[string]string
-
-	// Seed is the engine input: replayed results for reused files and
-	// pre-parsed ASTs for every file.
-	Seed *taint.Seed
-
-	// TimeSavedSeconds sums the recorded analysis cost of the reused
-	// files (an estimate: each artifact carries its file's share of the
-	// scan that produced it).
-	TimeSavedSeconds float64
-
-	// Invalidated counts re-analyzed files that had an artifact from an
-	// earlier scan under a different component hash — dependency-aware
-	// invalidation at work, as opposed to files never seen before.
-	Invalidated int
+// plan is one scan's partition into files whose artifacts are replayed
+// and files that must be re-analyzed: the reuse report it fills, plus
+// what the write-back needs — the re-analyzed paths (sorted) and every
+// path's artifact key (component-closure addressed) and content hash.
+type plan struct {
+	Report
+	analyze      []string
+	keys, hashes map[string]string
 }
 
-// planFingerprint pins everything an artifact's validity depends on
-// besides file content: the caller's tool/config fingerprint plus the
-// lexer and parser model versions.
-func planFingerprint(fingerprint string) string {
-	return fingerprint + "|" + phplex.Version + "|" + phpparse.Version
-}
-
-// BuildPlan hashes and parses the target (through the store's AST
-// cache), builds the dependency graph, and partitions the components:
-// a component whose every member has a stored artifact under the
-// current component hash is reused whole; any other component is
-// re-analyzed whole. Reusing a file therefore requires that nothing it
-// could interact with has changed — a changed file transitively
-// invalidates its dependents because their component hash changes.
-func BuildPlan(store *Store, eng *taint.Engine, fingerprint string, target *analyzer.Target) *Plan {
-	p := &Plan{
-		Keys:   make(map[string]string, len(target.Files)),
-		Hashes: make(map[string]string, len(target.Files)),
-		Seed: &taint.Seed{
-			Skip:   make(map[string]*taint.FileResult),
-			Parsed: make(map[string]*phpast.File, len(target.Files)),
-		},
+// buildPlan hashes the target and collects its AST-cache hits. It
+// returns the plan and the engine seed that fills it in: the engine
+// parses the cache misses in its own parse stage and hands every AST to
+// the seed's Plan callback, which caches the fresh ASTs when that parse
+// ran clean and then partitions the components.
+func buildPlan(store *Store, eng *taint.Engine, fingerprint string, target *analyzer.Target, opts *analyzer.ScanOptions) (*plan, *taint.Seed) {
+	p := &plan{
+		Report: Report{TotalFiles: len(target.Files)},
+		keys:   make(map[string]string, len(target.Files)),
+		hashes: make(map[string]string, len(target.Files)),
 	}
-	fp := planFingerprint(fingerprint + "|" + eng.OptionsFingerprint())
-
-	files := make(map[string]*phpast.File, len(target.Files))
+	depth := opts.EffectiveMaxParseDepth()
+	hits := make(map[string]*phpast.File, len(target.Files))
 	for _, sf := range target.Files {
-		p.Hashes[sf.Path] = HashFile(sf.Content)
-		f, ok := store.AST(sf.Path, sf.Content)
-		if !ok {
-			f = phpparse.Parse(sf.Path, sf.Content, phpparse.Options{})
-			store.PutAST(sf.Path, sf.Content, f)
+		p.hashes[sf.Path] = HashFile(sf.Content)
+		if f, ok := store.AST(sf.Path, p.hashes[sf.Path], depth); ok {
+			hits[sf.Path] = f
 		}
-		files[sf.Path] = f
-		p.Seed.Parsed[sf.Path] = f
 	}
+	// fp pins everything an artifact's validity depends on besides file
+	// content: the caller's tool/config fingerprint, the engine's
+	// options, the scan's budgets and the lexer and parser versions.
+	fp := fingerprint + "|" + eng.OptionsFingerprint() + "|" + opts.BudgetKey() +
+		"|" + phplex.Version + "|" + phpparse.Version
+	partition := func(files map[string]*phpast.File, clean bool) map[string]*taint.FileResult {
+		if clean {
+			for _, sf := range target.Files {
+				if hits[sf.Path] == nil {
+					store.PutAST(sf.Path, p.hashes[sf.Path], depth, files[sf.Path])
+				}
+			}
+		}
+		return p.partition(store, fp, BuildGraph(files, eng.IsSuperglobal), clean)
+	}
+	return p, &taint.Seed{Parsed: hits, Plan: partition}
+}
 
-	g := BuildGraph(files, eng.IsSuperglobal)
+// partition splits the dependency components and returns the replayed
+// files' results: a component whose every member has a stored artifact
+// under the current component hash is reused whole; any other component
+// is re-analyzed whole. Reusing a file therefore requires that nothing
+// it could interact with has changed — a changed file transitively
+// invalidates its dependents because their component hash changes. A
+// scan whose parse did not run clean reuses nothing, so it analyzes
+// exactly what a cold scan would.
+func (p *plan) partition(store *Store, fp string, g *Graph, clean bool) map[string]*taint.FileResult {
+	skip := make(map[string]*taint.FileResult)
 	comps := g.Components()
 	p.Components = len(comps)
 
@@ -90,15 +77,15 @@ func BuildPlan(store *Store, eng *taint.Engine, fingerprint string, target *anal
 		fields := make([]string, 0, 2*len(members)+1)
 		fields = append(fields, fp)
 		for _, m := range members {
-			fields = append(fields, m, p.Hashes[m])
+			fields = append(fields, m, p.hashes[m])
 		}
 		compHash := hashFields(fields...)
 
 		arts := make([]*Artifact, len(members))
-		complete := true
+		complete := clean
 		for i, m := range members {
 			key := hashFields("artifact", compHash, m)
-			p.Keys[m] = key
+			p.keys[m] = key
 			if a, ok := store.Artifact(key); ok && a.Result != nil {
 				arts[i] = a
 			} else {
@@ -108,20 +95,22 @@ func BuildPlan(store *Store, eng *taint.Engine, fingerprint string, target *anal
 		if complete {
 			p.ReusedComponents++
 			for i, m := range members {
-				p.Reuse = append(p.Reuse, m)
-				p.Seed.Skip[m] = arts[i].Result
+				skip[m] = arts[i].Result
 				p.TimeSavedSeconds += arts[i].AnalysisSeconds
 			}
 			continue
 		}
 		for _, m := range members {
-			p.Analyze = append(p.Analyze, m)
-			if last, ok := store.LastKey(m); ok && last != p.Keys[m] {
-				p.Invalidated++
+			p.analyze = append(p.analyze, m)
+			if last, ok := store.LastKey(m); ok && last != p.keys[m] {
+				p.InvalidatedFiles++
 			}
 		}
 	}
-	sort.Strings(p.Reuse)
-	sort.Strings(p.Analyze)
-	return p
+	sort.Strings(p.analyze)
+	p.ReusedFiles, p.AnalyzedFiles = len(skip), len(p.analyze)
+	if p.TotalFiles > 0 {
+		p.ReuseRatio = float64(p.ReusedFiles) / float64(p.TotalFiles)
+	}
+	return skip
 }

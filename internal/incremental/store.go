@@ -42,18 +42,18 @@ type Artifact struct {
 }
 
 // Store is the content-addressed artifact store: parsed ASTs keyed by
-// (path, content) and per-file analysis artifacts keyed by their
-// component closure. It is safe for concurrent use. With a directory it
-// persists artifacts as JSON (one file per key) and survives restarts;
-// ASTs are memory-only. The recorder (which may be nil) receives the
-// inc_{artifact,ast}_{hits,misses}_total and inc_artifacts_stored_total
-// counters.
+// (path, content hash, parse depth) and per-file analysis artifacts
+// keyed by their component closure. It is safe for concurrent use.
+// With a directory it persists artifacts as JSON (one file per key) and
+// survives restarts; ASTs are memory-only. The recorder (which may be
+// nil) receives the inc_{artifact,ast}_{hits,misses}_total and
+// inc_artifacts_stored_total counters.
 type Store struct {
 	rec *obs.Recorder
 	dir string
 
 	mu        sync.Mutex
-	asts      map[string]*phpast.File
+	asts      map[astKey]*phpast.File
 	artifacts map[string]*Artifact
 	// lastKey remembers the most recent artifact key stored per path, so
 	// the planner can tell "invalidated" (prior artifact, different
@@ -72,7 +72,7 @@ func NewStore(dir string, rec *obs.Recorder) (*Store, error) {
 	return &Store{
 		rec:       rec,
 		dir:       dir,
-		asts:      make(map[string]*phpast.File),
+		asts:      make(map[astKey]*phpast.File),
 		artifacts: make(map[string]*Artifact),
 		lastKey:   make(map[string]string),
 	}, nil
@@ -84,11 +84,13 @@ func HashFile(content string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// astKey addresses a parsed AST by path and content: the parser records
-// the path inside the File, so identical content under two paths still
-// parses twice.
-func astKey(path, content string) string {
-	return hashFields("ast", path, content)
+// astKey addresses a parsed AST by path, content hash and parse-depth
+// budget: the parser records the path inside the File, so identical
+// content under two paths still parses twice, and the depth budget
+// shapes the tree.
+type astKey struct {
+	path, hash string
+	depth      int
 }
 
 // hashFields hashes length-prefixed fields so no concatenation of
@@ -104,10 +106,11 @@ func hashFields(fields ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// AST returns the cached parse of (path, content), if present.
-func (s *Store) AST(path, content string) (*phpast.File, bool) {
+// AST returns the cached parse of path with content hash hash under
+// parse-depth budget depth, if present.
+func (s *Store) AST(path, hash string, depth int) (*phpast.File, bool) {
 	s.mu.Lock()
-	f, ok := s.asts[astKey(path, content)]
+	f, ok := s.asts[astKey{path, hash, depth}]
 	s.mu.Unlock()
 	if ok {
 		s.rec.Counter("inc_ast_hits_total").Inc()
@@ -117,11 +120,11 @@ func (s *Store) AST(path, content string) (*phpast.File, bool) {
 	return f, ok
 }
 
-// PutAST caches a parsed file.
-func (s *Store) PutAST(path, content string, f *phpast.File) {
+// PutAST caches a parse that ran clean under parse-depth budget depth.
+func (s *Store) PutAST(path, hash string, depth int, f *phpast.File) {
 	s.mu.Lock()
 	if len(s.asts) < maxMemoryASTs {
-		s.asts[astKey(path, content)] = f
+		s.asts[astKey{path, hash, depth}] = f
 	}
 	s.mu.Unlock()
 }

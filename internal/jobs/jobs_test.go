@@ -212,16 +212,18 @@ func TestTimeoutAndPanicDoNotLeakWorkers(t *testing.T) {
 	if got := timedOut.Load(); got != 10 {
 		t.Errorf("timed-out jobs observed = %d, want 10", got)
 	}
+
+	if err := p.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	// A worker updates the counters and the gauge only after its job
+	// returns, so read them once Shutdown has waited every worker out.
 	snap := rec.Snapshot()
 	if got := snap.Counters["jobs_panics_total"]; got != 10 {
 		t.Errorf("jobs_panics_total = %d, want 10", got)
 	}
 	if got := snap.Gauges["jobs_in_flight"]; got != 0 {
 		t.Errorf("jobs_in_flight = %v, want 0", got)
-	}
-
-	if err := p.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown: %v", err)
 	}
 	// Timer goroutines from expired job contexts unwind asynchronously;
 	// poll briefly for the count to settle back to the baseline.

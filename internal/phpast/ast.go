@@ -625,4 +625,7 @@ type File struct {
 	Lines int
 	// Errors lists recoverable parse problems encountered.
 	Errors []string
+	// Steps counts the governor steps this file's lex and parse took
+	// (zero when ungoverned), so a cached copy is charged like a parse.
+	Steps int64
 }

@@ -24,8 +24,9 @@ import (
 
 // ParseFiles parses every source file across a pool of workers and
 // returns the ASTs by path. Files present in preparsed (content-
-// addressed reuse from incremental scans) are taken as-is and skip the
-// pool. Each worker folds identifiers through its own interner shard.
+// addressed reuse from incremental scans) are taken as-is, their
+// recorded parse steps charged to the governor, unless that charge
+// would exhaust the step budget: then they are parsed like the rest. Each worker folds identifiers through its own interner shard.
 // workers follows ScanOptions.EffectiveFileWorkers: values below one
 // are clamped to a serial run, which executes under gov itself with no
 // goroutines — the exact legacy semantics.
@@ -44,16 +45,18 @@ func ParseFiles(files []analyzer.SourceFile, preparsed map[string]*phpast.File, 
 	out := make([]*phpast.File, n)
 	govern.ForkJoin(gov, workers, n, func(child *govern.Governor, worker, idx int) {
 		sf := files[idx]
-		if f := preparsed[sf.Path]; f != nil {
+		if f := preparsed[sf.Path]; f != nil && child.Charge(f.Steps) {
 			out[idx] = f
 			return
 		}
 		// Under a halted governor the governed parser degenerates to an
 		// empty (but well-formed) AST, so a cancelled scan drains the
 		// front end in O(files).
+		before := child.Steps()
 		out[idx] = phpparse.Parse(sf.Path, sf.Content, phpparse.Options{
 			Recorder: rec, Parent: parent, Gov: child, Interner: shards[worker],
 		})
+		out[idx].Steps = child.Steps() - before
 	})
 	m := make(map[string]*phpast.File, n)
 	for i, sf := range files {

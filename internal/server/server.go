@@ -542,17 +542,6 @@ func (s *Server) effectiveBudgets(req *analyzer.ScanOptions) *analyzer.ScanOptio
 	}
 }
 
-// budgetKey folds the effective budgets into the cache key so a
-// truncated result is only ever served to submissions that would run
-// under the same budgets. FileWorkers is deliberately excluded: the
-// worker count never changes a scan's output, so cached results flow
-// freely across pool sizes.
-func budgetKey(o *analyzer.ScanOptions) string {
-	return fmt.Sprintf("d%d:p%d:s%d:f%d:t%d",
-		o.Deadline, o.EffectiveMaxParseDepth(), o.EffectiveMaxSteps(),
-		o.EffectiveMaxFindings(), o.FileTimeSlice)
-}
-
 // handleSubmit accepts a plugin, serves it from cache when possible,
 // and otherwise queues a scan job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -626,7 +615,7 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	}
 	opts := s.effectiveBudgets(req.Opts)
 	key := scancache.Key(target, fmt.Sprintf("%s|%s|%s|%s|%s",
-		s.cfg.Fingerprint, req.Tool, req.Profile, engineFingerprint(engine), budgetKey(opts)))
+		s.cfg.Fingerprint, req.Tool, req.Profile, engineFingerprint(engine), opts.BudgetKey()))
 
 	// Fast path: the content has been scanned before.
 	if res, ok := s.cfg.Cache.Get(key); ok {

@@ -729,6 +729,53 @@ func TestIncrementalReuseAcrossVersions(t *testing.T) {
 	}
 }
 
+// TestIncrementalScanParsesUnderEngineSpans: a standalone daemon's
+// scan runs through the incremental layer, and its files are still
+// lexed and parsed by the engine — the lexer and parser counters move,
+// and every file gets a parse:<file> span under the engine's model span.
+func TestIncrementalScanParsesUnderEngineSpans(t *testing.T) {
+	t.Parallel()
+	e := newEnv(t, 1, 8, func(cfg *Config) {
+		store, err := incremental.NewStore("", cfg.Recorder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.IncStore = store
+	})
+	files := map[string]string{
+		"a.php": `<?php echo $_GET['a'];`,
+		"b.php": `<?php mysql_query("q" . $_POST['b']);`,
+	}
+	_, sc := e.submitJSON(t, submissionFiles("parsed", files))
+	if done := e.wait(t, sc.ID); done.Status != stateDone || done.Inc == nil {
+		t.Fatalf("scan ended %s (incremental report %+v): %s", done.Status, done.Inc, done.Error)
+	}
+	snap := e.rec.Snapshot()
+	for _, name := range []string{"lex_tokens_total", "parse_ast_nodes_total"} {
+		if snap.Counters[name] == 0 {
+			t.Errorf("%s = 0 after an incremental scan", name)
+		}
+	}
+	parsed := map[string]bool{}
+	var walk func(s obs.SpanSnapshot)
+	walk = func(s obs.SpanSnapshot) {
+		for _, c := range s.Children {
+			if s.Name == "model" && strings.HasPrefix(c.Name, "parse:") {
+				parsed[strings.TrimPrefix(c.Name, "parse:")] = true
+			}
+			walk(c)
+		}
+	}
+	for _, root := range snap.Spans {
+		walk(root)
+	}
+	for path := range files {
+		if !parsed[path] {
+			t.Errorf("no parse:%s span under a model span (saw %v)", path, parsed)
+		}
+	}
+}
+
 func TestDiffEndpoint(t *testing.T) {
 	t.Parallel()
 	e := newEnv(t, 2, 8)

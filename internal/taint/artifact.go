@@ -35,12 +35,16 @@ type FileResult struct {
 	Summaries map[string]*PortableSummary `json:"summaries,omitempty"`
 }
 
-// Seed carries a previous scan's reusable state into an incremental
-// scan: Skip maps file paths to the results replayed for them, and
-// Parsed supplies ready ASTs by path for any file (skipped or not).
+// Seed carries an incremental scan's reusable state into the engine.
+// Parsed supplies ready ASTs by path (AST-cache hits); the engine's
+// parse stage parses every other file. Plan is called once, right after
+// that stage and before the declaration inventory, with every file's
+// AST and whether the parse ran clean (no budget exhausted, no halt);
+// it returns the files, among those it was handed, whose results are
+// replayed instead of analyzed.
 type Seed struct {
-	Skip   map[string]*FileResult
 	Parsed map[string]*phpast.File
+	Plan   func(files map[string]*phpast.File, clean bool) map[string]*FileResult
 }
 
 // PortableTaint is one vulnerability-class taint with its provenance.
@@ -104,13 +108,9 @@ func (e *Engine) analyze(ctx context.Context, target *analyzer.Target, opts *ana
 	a := newAnalysis(e, target)
 	a.gov = govern.New(ctx, opts, e.rec)
 	a.fileWorkers = opts.EffectiveFileWorkers()
-	if seed != nil {
-		a.skip = seed.Skip
-		a.preparsed = seed.Parsed
-	}
 	scan := e.rec.StartNamedSpan("scan:", target.Name, nil)
 	model := scan.StartChild("model")
-	a.buildModel(model)
+	a.buildModel(model, seed)
 	model.EndAndObserve("stage_model_seconds")
 	a.importSummaries()
 	tsp := scan.StartChild("taint")
@@ -144,9 +144,6 @@ func (a *analysis) importSummaries() {
 		if fr == nil {
 			continue
 		}
-		if _, inTarget := a.files[path]; !inTarget {
-			continue
-		}
 		for _, key := range sortedKeys(fr.Summaries) {
 			if _, exists := a.summaries[key]; exists {
 				continue
@@ -165,9 +162,6 @@ func (a *analysis) replaySkipped() {
 	for _, path := range sortedKeys(a.skip) {
 		fr := a.skip[path]
 		if fr == nil {
-			continue
-		}
-		if _, inTarget := a.files[path]; !inTarget {
 			continue
 		}
 		a.result.Findings = append(a.result.Findings, fr.Findings...)

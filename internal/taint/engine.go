@@ -248,9 +248,6 @@ type analysis struct {
 	// still run, but their summaries come from the seed and their
 	// top-level flows are not executed. Nil for ordinary scans.
 	skip map[string]*FileResult
-	// preparsed supplies ready ASTs by path (content-addressed reuse);
-	// files not present are parsed normally.
-	preparsed map[string]*phpast.File
 
 	// stats collects instrumentation counts flushed at the end of the
 	// scan (see scanStats).
@@ -301,10 +298,18 @@ func newAnalysis(e *Engine, target *analyzer.Target) *analysis {
 // unobserved) parents the per-file parse spans. Parsing fans across the
 // scan's worker pool — files are independent until the declaration
 // inventory below links them into one model, which runs serially over
-// the sorted file order exactly as before.
-func (a *analysis) buildModel(modelSpan *obs.Span) {
-	files := pipeline.ParseFiles(a.target.Files, a.preparsed, a.eng.rec, modelSpan, a.gov, a.fileWorkers)
-	a.files = files
+// the sorted file order exactly as before. This is the only place a
+// scan parses: an incremental seed contributes cached ASTs and plans
+// its replayed files on the ASTs parsed here.
+func (a *analysis) buildModel(modelSpan *obs.Span, seed *Seed) {
+	var parsed map[string]*phpast.File
+	if seed != nil {
+		parsed = seed.Parsed
+	}
+	a.files = pipeline.ParseFiles(a.target.Files, parsed, a.eng.rec, modelSpan, a.gov, a.fileWorkers)
+	if seed != nil {
+		a.skip = seed.Plan(a.files, a.gov.Clean())
+	}
 	for _, sf := range a.target.Files {
 		a.fileOrder = append(a.fileOrder, sf.Path)
 	}

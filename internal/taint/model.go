@@ -78,7 +78,7 @@ func (e *Engine) Model(target *analyzer.Target) (*ModelInfo, error) {
 		return nil, fmt.Errorf("taint: nil target")
 	}
 	a := newAnalysis(e, target)
-	a.buildModel(nil)
+	a.buildModel(nil, nil)
 
 	info := &ModelInfo{}
 
