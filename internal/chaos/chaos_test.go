@@ -235,14 +235,16 @@ func (wp *workerProc) boot() {
 	wp.mu.Unlock()
 }
 
-// kill hard-stops the worker: requests abort, running scans are
-// interrupted before they settle, the dispatch journal keeps its open
-// records for the reboot's replay.
+// kill hard-stops the worker: requests abort — the open ones too, as
+// a dead process's sockets reset — running scans are interrupted before
+// they settle, the dispatch journal keeps its open records for the
+// reboot's replay.
 func (wp *workerProc) kill() {
 	wp.mu.Lock()
 	pool, jrnl := wp.pool, wp.jrnl
 	wp.h, wp.pool, wp.jrnl = nil, nil, nil
 	wp.mu.Unlock()
+	wp.front.CloseClientConnections()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if pool != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -66,12 +67,16 @@ func TestBenchFleetHedging(t *testing.T) {
 		P99Ms float64 `json:"p99_ms"`
 	}
 	doc := struct {
+		NumCPU      int    `json:"num_cpu"`
+		GOMAXPROCS  int    `json:"gomaxprocs"`
 		Scans       int    `json:"scans"`
 		SlowWorkers string `json:"slow_worker_delay"`
 		HedgeDelay  string `json:"hedge_delay"`
 		HedgeOff    stats  `json:"hedge_off"`
 		HedgeOn     stats  `json:"hedge_on"`
 	}{
+		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Scans:       scans,
 		SlowWorkers: slowBy.String(),
 		HedgeDelay:  hedgeAt.String(),

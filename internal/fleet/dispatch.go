@@ -1,8 +1,8 @@
 // Dispatch: executing one scan attempt on the worker that owns the
-// scan's content digest. Dispatch plugs into server.Config.Dispatch,
-// so it runs inside the coordinator's jobs pool with the full retry
-// lifecycle around it; its error contract is therefore the jobs
-// classification:
+// scan's routing key (server.DispatchRequest.Key). Dispatch plugs into
+// server.Config.Dispatch, so it runs inside the coordinator's jobs pool
+// with the full retry lifecycle around it; its error contract is
+// therefore the jobs classification:
 //
 //	plain error        → retryable; the next attempt re-picks the ring
 //	                     owner, which is how handoff happens
@@ -240,8 +240,8 @@ func (f *Fleet) dispatchHedged(ctx context.Context, owners []string, req *server
 	return nil, firstErr
 }
 
-// pickOwners routes req to up to want live ring owners of its content
-// digest in clockwise preference order, recording handoff trace events
+// pickOwners routes req to up to want live ring owners of its routing
+// key in clockwise preference order, recording handoff trace events
 // when primary ownership moved since the scan's previous attempt.
 // Events are appended before the dispatch happens so the timeline reads
 // transferred → resubmitted → dispatched → outcome.
@@ -362,11 +362,10 @@ func (f *Fleet) queryInflight(ctx context.Context, addr, scanID string) (infligh
 	return entry, true
 }
 
-// attach follows an adopted worker scan to settlement: fetch its
-// current view, poll while it is still queued/running (with severing
-// registered, so the worker dying mid-adoption turns into a retryable
-// error and a normal handoff), and map the settled state exactly like
-// a fresh dispatch.
+// attach follows an adopted worker scan to settlement: long-poll it
+// (with severing registered, so the worker dying mid-adoption turns
+// into a retryable error and a normal handoff) and map the settled
+// state exactly like a fresh dispatch.
 func (f *Fleet) attach(ctx context.Context, owner, workerScanID string) (*server.DispatchResult, error) {
 	dctx, cancel := context.WithCancel(ctx)
 	f.register(owner, workerScanID, cancel)
@@ -375,12 +374,8 @@ func (f *Fleet) attach(ctx context.Context, owner, workerScanID string) (*server
 		f.unregister(owner, workerScanID)
 	}()
 
-	hreq, err := http.NewRequestWithContext(dctx, http.MethodGet, owner+"/v1/scans/"+workerScanID, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := f.client.Do(hreq)
-	if err != nil {
+	view := workerScanView{ID: workerScanID}
+	if err := f.pollUntilSettled(dctx, owner, &view); err != nil {
 		// Disambiguate exactly like dispatchOne: a cancellation must
 		// never leak out of the fleet layer unless the scan's own
 		// context died, or the jobs lifecycle would misread a severed
@@ -391,28 +386,7 @@ func (f *Fleet) attach(ctx context.Context, owner, workerScanID string) (*server
 		if dctx.Err() != nil {
 			return nil, fmt.Errorf("fleet: adoption from %s severed: worker declared dead", owner)
 		}
-		f.ReportFailure(owner, err)
-		return nil, fmt.Errorf("fleet: adopt from %s: %w", owner, err)
-	}
-	var view workerScanView
-	derr := json.NewDecoder(resp.Body).Decode(&view)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: adopt from %s: HTTP %d", owner, resp.StatusCode)
-	}
-	if derr != nil {
-		return nil, fmt.Errorf("fleet: adopt from %s: decode: %w", owner, derr)
-	}
-	if view.Status == "queued" || view.Status == "running" {
-		if err := f.pollUntilSettled(dctx, owner, &view); err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			if dctx.Err() != nil {
-				return nil, fmt.Errorf("fleet: adoption from %s severed: worker declared dead", owner)
-			}
-			return nil, err
-		}
+		return nil, err
 	}
 	switch view.Status {
 	case "done":
@@ -451,7 +425,7 @@ func (f *Fleet) forgetOwner(scanID string) {
 }
 
 // dispatchTo submits req to owner and waits for the worker's scan to
-// settle, polling when the worker queued it asynchronously.
+// settle, long-polling when the worker queued it asynchronously.
 func (f *Fleet) dispatchTo(ctx context.Context, owner string, req *server.DispatchRequest) (*server.DispatchResult, error) {
 	wire := dispatchWire{
 		ScanID: req.ScanID, Attempt: req.Attempt,
@@ -521,40 +495,22 @@ func (f *Fleet) dispatchTo(ctx context.Context, owner string, req *server.Dispat
 	}
 }
 
-// pollUntilSettled polls owner's scan view until it leaves the
-// queued/running states, backing off 5ms → 250ms between polls.
+// pollUntilSettled long-polls owner's scan view (GET ?wait=) until it
+// leaves the queued/running states. The worker holds each request until
+// the scan settles or its wait cap passes, so the coordinator learns of
+// a settle one round trip after it and never sleeps between requests.
+// A context that dies while a request is open (client cancel, hedge
+// loser, severed owner) forwards the cancel to the worker scan.
 func (f *Fleet) pollUntilSettled(ctx context.Context, owner string, view *workerScanView) error {
-	delay := 5 * time.Millisecond
+	url := owner + "/v1/scans/" + view.ID + "?wait=" + server.MaxScanWait.String()
 	for {
-		select {
-		case <-ctx.Done():
-			f.forwardCancel(owner, view.ID)
-			return ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > 250*time.Millisecond {
-			delay = 250 * time.Millisecond
-		}
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/scans/"+view.ID, nil)
+		next, err := f.fetchView(ctx, owner, url)
 		if err != nil {
-			return err
-		}
-		resp, err := f.client.Do(hreq)
-		if err != nil {
-			if ctx.Err() == nil {
-				f.ReportFailure(owner, err)
+			if ctx.Err() != nil {
+				f.forwardCancel(owner, view.ID)
+				return ctx.Err()
 			}
-			return fmt.Errorf("fleet: poll %s: %w", owner, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return fmt.Errorf("fleet: poll %s: HTTP %d", owner, resp.StatusCode)
-		}
-		next := workerScanView{}
-		err = json.NewDecoder(resp.Body).Decode(&next)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("fleet: decode poll response: %w", err)
+			return err
 		}
 		switch next.Status {
 		case "queued", "running":
@@ -563,6 +519,30 @@ func (f *Fleet) pollUntilSettled(ctx context.Context, owner string, view *worker
 		*view = next
 		return nil
 	}
+}
+
+// fetchView performs one GET of a worker scan view.
+func (f *Fleet) fetchView(ctx context.Context, owner, url string) (workerScanView, error) {
+	var view workerScanView
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return view, err
+	}
+	resp, err := f.client.Do(hreq)
+	if err != nil {
+		if ctx.Err() == nil {
+			f.ReportFailure(owner, err)
+		}
+		return view, fmt.Errorf("fleet: poll %s: %w", owner, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return view, fmt.Errorf("fleet: poll %s: HTTP %d", owner, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		return view, fmt.Errorf("fleet: decode poll response: %w", err)
+	}
+	return view, nil
 }
 
 // forwardCancel best-effort cancels a worker-side scan after the

@@ -7,10 +7,13 @@
 // journaling, retry budgets, in-flight dedup, trace timelines — and
 // replaces only the innermost step: instead of running the engine
 // locally, server.Config.Dispatch hands the attempt to this package,
-// which routes the scan's content digest over a consistent-hash ring
-// (ring.go) to its owning worker and executes it there via HTTP.
-// Because routing is by content digest, each worker's caches become
-// shards of one fleet-wide tier rather than N duplicated copies.
+// which routes the scan's routing key over a consistent-hash ring
+// (ring.go) to its owning worker and executes it there via HTTP. The
+// key is the plugin's lineage (tool, profile, client-given name), so
+// every version of a plugin lands on the worker that holds its
+// incremental artifacts; unnamed uploads route by content digest.
+// Each worker's caches thus become shards of one fleet-wide tier
+// rather than N duplicated copies.
 //
 // Failure handling composes from parts that already exist. A worker
 // that stops answering heartbeats walks alive → suspect → dead

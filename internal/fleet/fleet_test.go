@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/incremental"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/scancache"
@@ -31,12 +32,13 @@ mysql_query("SELECT * FROM users WHERE login='" . $user . "'");
 // scanView is the slice of the scan envelope these tests assert on;
 // Result stays raw for byte-identity comparison.
 type scanView struct {
-	ID     string          `json:"id"`
-	Status string          `json:"status"`
-	Cached bool            `json:"cached"`
-	Worker string          `json:"worker"`
-	Result json.RawMessage `json:"result"`
-	Error  string          `json:"error"`
+	ID     string              `json:"id"`
+	Status string              `json:"status"`
+	Cached bool                `json:"cached"`
+	Worker string              `json:"worker"`
+	Result json.RawMessage     `json:"result"`
+	Inc    *incremental.Report `json:"incremental"`
+	Error  string              `json:"error"`
 }
 
 // newWorker boots one fleet worker: a full server stack with a
@@ -121,25 +123,20 @@ func submitScan(t *testing.T, base, name, php string) scanView {
 
 func waitSettled(t *testing.T, base, id string) scanView {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/scans/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sc scanView
-		err = json.NewDecoder(resp.Body).Decode(&sc)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch sc.Status {
-		case "done", "failed", "cancelled", "quarantined":
-			return sc
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, err := http.Get(base + "/v1/scans/" + id + "?wait=30s")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("scan %s never settled", id)
+	defer resp.Body.Close()
+	var sc scanView
+	if err := json.NewDecoder(resp.Body).Decode(&sc); err != nil {
+		t.Fatal(err)
+	}
+	switch sc.Status {
+	case "done", "failed", "cancelled", "quarantined":
+		return sc
+	}
+	t.Fatalf("scan %s never settled (status %s)", id, sc.Status)
 	return scanView{}
 }
 

@@ -71,9 +71,13 @@ func (f *Fleet) probeDue() {
 	}
 }
 
-// probe performs one heartbeat round-trip and settles the outcome.
+// probe performs one heartbeat round-trip and settles the outcome. The
+// round trip may take as long as DeadAfter intervals, the time in which
+// the monitor declares a silent worker dead: on a loaded machine a slow
+// answer is still an answer, while a refused, reset or blackholed
+// connection fails at once and counts as a miss immediately.
 func (f *Fleet) probe(addr string) {
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.HeartbeatInterval)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(f.cfg.DeadAfter)*f.cfg.HeartbeatInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/internal/v1/heartbeat", nil)
 	if err != nil {

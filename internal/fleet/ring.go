@@ -1,15 +1,16 @@
 // Consistent-hash ring: the fleet's routing function. Every worker
 // contributes Replicas virtual nodes (points on a 64-bit circle hashed
-// from "addr#i"); a scan's content digest is hashed onto the circle
-// and owned by the first virtual node clockwise from it. Two
-// properties make this the right router for sharded caches:
+// from "addr#i"); a scan's routing key (its plugin lineage, or its
+// content digest when unnamed) is hashed onto the circle and owned by
+// the first virtual node clockwise from it. Two properties make this
+// the right router for sharded caches:
 //
 //   - Determinism: ownership is a pure function of the member set and
 //     the key, independent of insertion order, so every coordinator
-//     (and every restart) routes a digest to the same worker — cache
-//     hits for a digest always land on the shard that computed it.
+//     (and every restart) routes a key to the same worker — a plugin's
+//     next version always lands on the shard that holds its artifacts.
 //   - Minimal remap: adding or removing one of N members moves only
-//     ~1/N of the key space; every other digest keeps its shard, so a
+//     ~1/N of the key space; every other key keeps its shard, so a
 //     membership change does not flush the fleet's caches.
 //
 // Liveness is layered on top, not baked in: the ring always contains
@@ -174,9 +175,8 @@ func pointHash(member string, i int) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// keyHash positions a routing key. Keys are already hex digests
-// (scancache content addresses), but hashing again costs little and
-// keeps the ring correct for arbitrary keys.
+// keyHash positions a routing key: a lineage string or a hex content
+// digest, hashed so either spreads uniformly over the circle.
 func keyHash(key string) uint64 {
 	sum := sha256.Sum256([]byte(key))
 	return binary.BigEndian.Uint64(sum[:8])

@@ -23,9 +23,11 @@
 // and the journal compacts on the daemon's rule (garbage ≥ max(floor,
 // live)): a long-lived worker's journal stays under 2 × live + floor.
 //
-// Everything else falls through to the standard API, which is what the
-// coordinator's poll loop uses (GET /v1/scans/{id}) and what makes a
-// worker individually debuggable (trace, metrics, /debug/events).
+// Everything else falls through to the standard API. The coordinator
+// learns a dispatched scan's outcome there with a long-poll,
+// GET /v1/scans/{id}?wait=, which the worker answers as soon as the
+// scan settles; the same API makes a worker individually debuggable
+// (trace, metrics, /debug/events).
 
 package fleet
 

@@ -66,6 +66,9 @@ func buildPlan(store *Store, eng *taint.Engine, fingerprint string, target *anal
 // scan whose parse did not run clean reuses nothing, so it analyzes
 // exactly what a cold scan would.
 func (p *plan) partition(store *Store, fp string, g *Graph, clean bool) map[string]*taint.FileResult {
+	// A rescan that replays nothing partitions again from scratch.
+	p.Report = Report{TotalFiles: p.TotalFiles}
+	p.analyze = nil
 	skip := make(map[string]*taint.FileResult)
 	comps := g.Components()
 	p.Components = len(comps)

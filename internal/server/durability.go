@@ -323,10 +323,11 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 
 // StartDrain flips readiness off ahead of shutdown: /readyz starts
 // answering 503 so load balancers stop routing new submissions while
-// in-flight scans finish.
+// in-flight scans finish. Open GET ?wait= long-polls answer at once.
 func (s *Server) StartDrain() {
 	s.mu.Lock()
 	s.draining = true
+	s.wakeWaitersLocked()
 	s.mu.Unlock()
 	s.rec.Counter("server_drains_total").Inc()
 }

@@ -20,7 +20,9 @@
 //	                           and its worker is freed at the next
 //	                           governor checkpoint
 //	GET  /v1/scans/{id}        job status; ?format=json|sarif|html
-//	                           renders a finished scan's report
+//	                           renders a finished scan's report;
+//	                           ?wait=DURATION holds the answer until
+//	                           the scan settles (at most MaxScanWait)
 //	POST /v1/scans/{id}/retry  resubmit a quarantined scan with a
 //	                           fresh attempt budget
 //	GET  /v1/quarantine        list dead-lettered scans
@@ -182,9 +184,13 @@ type Config struct {
 type DispatchRequest struct {
 	// ScanID is the coordinator's scan id (trace events key off it).
 	ScanID string
-	// Key is the scan's content digest (the cache key); the dispatcher
-	// routes by consistent hash of it so a digest always lands on the
-	// same worker's cache shard.
+	// Key is the routing key the dispatcher hashes onto its ring. A
+	// named submission routes by its lineage (tool, profile and the
+	// client's name for the plugin), so every version of one plugin
+	// reaches the worker that holds its incremental artifacts; an
+	// unnamed one routes by its content digest, which spreads anonymous
+	// uploads across the workers. It is not the cache key: exact
+	// resubmissions are answered from the coordinator's cache by digest.
 	Key string
 	// Attempt is the 1-based attempt number this dispatch executes.
 	Attempt int
@@ -215,6 +221,14 @@ type DispatchResult struct {
 	// artifact store reused per-file work.
 	Inc *incremental.Report
 }
+
+// MaxScanWait caps how long GET /v1/scans/{id}?wait= holds its answer
+// for an unsettled scan; the caller asks again if it is still running.
+const MaxScanWait = 30 * time.Second
+
+// unnamedTarget is the name a submission without one is labelled
+// with. Such a submission has no lineage to route by.
+const unnamedTarget = "upload"
 
 // DefaultMaxScans bounds the scan registry when Config.MaxScans is
 // unset: enough for a day of steady scanning, small enough that a
@@ -299,6 +313,10 @@ type Server struct {
 	active map[string]string
 	// draining flips readiness off ahead of shutdown (StartDrain).
 	draining bool
+	// settleWake is closed and replaced whenever a scan settles or the
+	// server starts draining, waking every GET ?wait= long-poll so it
+	// can re-read its scan.
+	settleWake chan struct{}
 
 	// journalMu serializes journal appends against compaction's
 	// build-live-set-and-truncate, so no lifecycle record can fall
@@ -333,12 +351,13 @@ func New(cfg Config) *Server {
 		cfg.NewID = newID
 	}
 	s := &Server{
-		cfg:    cfg,
-		rec:    cfg.Recorder,
-		log:    cfg.Logger.With("component", "server"),
-		mux:    http.NewServeMux(),
-		scans:  make(map[string]*scan),
-		active: make(map[string]string),
+		cfg:        cfg,
+		rec:        cfg.Recorder,
+		log:        cfg.Logger.With("component", "server"),
+		mux:        http.NewServeMux(),
+		scans:      make(map[string]*scan),
+		active:     make(map[string]string),
+		settleWake: make(chan struct{}),
 	}
 	s.mux.HandleFunc("POST /v1/scans", s.instrument("scans_submit", s.handleSubmit))
 	s.mux.HandleFunc("POST /v1/scans/{id}/cancel", s.instrument("scans_cancel", s.handleCancel))
@@ -593,7 +612,7 @@ func (s *Server) Submit(w http.ResponseWriter, spec SubmitSpec) {
 // id is "" when the submission was rejected outright.
 func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	if spec.Name == "" {
-		spec.Name = "upload"
+		spec.Name = unnamedTarget
 	}
 	if spec.Tool == "" {
 		spec.Tool = "phpsafe"
@@ -824,7 +843,7 @@ func (s *Server) runScanAttempt(ctx context.Context, sc *scan) error {
 			sc.resubmitted = false
 			s.mu.Unlock()
 			dr, derr := s.cfg.Dispatch(scanCtx, &DispatchRequest{
-				ScanID: sc.ID, Key: sc.Key, Attempt: attempt, Resubmitted: resub,
+				ScanID: sc.ID, Key: sc.routeKey(), Attempt: attempt, Resubmitted: resub,
 				Name: sc.Target.Name, Tool: sc.Tool, Profile: sc.Profile,
 				Target: sc.Target, Opts: sc.Opts,
 			})
@@ -1110,15 +1129,26 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// handleGet reports a scan's status or renders its finished report.
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sc, ok := s.scans[r.PathValue("id")]
-	var view scanJSON
-	if ok {
-		view = sc.viewLocked()
+// routeKey is the key a fleet dispatcher routes sc by (see
+// DispatchRequest.Key): its lineage when the client named the plugin,
+// its content digest otherwise.
+func (sc *scan) routeKey() string {
+	if sc.Target.Name == unnamedTarget {
+		return sc.Key
 	}
-	s.mu.Unlock()
+	return "lineage|" + sc.Tool + "|" + sc.Profile + "|" + sc.Target.Name
+}
+
+// handleGet reports a scan's status or renders its finished report.
+// With ?wait=DURATION an unsettled scan's answer is held until it
+// settles, so a client learns the outcome one round trip after it.
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	wait, err := parseWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		s.error(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	view, ok := s.awaitView(r.Context(), r.PathValue("id"), wait)
 	if !ok {
 		s.error(w, http.StatusNotFound, "unknown scan id")
 		return
@@ -1162,6 +1192,63 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	})
 	w.Header().Set("Content-Type", contentType)
 	w.Write(data)
+}
+
+// parseWait reads a ?wait= value: a non-negative duration, capped at
+// MaxScanWait ("" means no wait).
+func parseWait(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("invalid wait %q (want a duration such as 30s)", v)
+	}
+	return min(d, MaxScanWait), nil
+}
+
+// awaitView returns scan id's current view. A queued or running scan
+// is first awaited for up to wait: the view is read again when the scan
+// settles, when the wait ends, when ctx ends (the client went away) and
+// when the server starts draining — a scan a shutdown interrupts never
+// settles, so waiting on it would hold the shutdown for the whole wait.
+// The view and the wake channel are taken in one critical section, and
+// settleEvent closes the channel only after the settled state is
+// visible, so no settle is missed.
+func (s *Server) awaitView(ctx context.Context, id string, wait time.Duration) (scanJSON, bool) {
+	var timeout <-chan time.Time
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		timeout = t.C
+	}
+	for {
+		s.mu.Lock()
+		sc, ok := s.scans[id]
+		var view scanJSON
+		if ok {
+			view = sc.viewLocked()
+		}
+		wake := s.settleWake
+		final := !ok || timeout == nil || settledState(sc.State) || s.draining
+		s.mu.Unlock()
+		if final {
+			return view, ok
+		}
+		select {
+		case <-wake:
+			continue
+		case <-timeout:
+		case <-ctx.Done():
+		}
+		timeout = nil // answer with the view as it is now
+	}
+}
+
+// wakeWaitersLocked wakes every GET ?wait= long-poll; caller holds s.mu.
+func (s *Server) wakeWaitersLocked() {
+	close(s.settleWake)
+	s.settleWake = make(chan struct{})
 }
 
 // engineFingerprint returns the engine's self-reported configuration
@@ -1294,15 +1381,6 @@ func (s *Server) parseSubmission(r *http.Request) (*submitRequest, error) {
 	}
 	if len(req.RulePacks) > 0 {
 		req.Profile = strings.Join(req.RulePacks, ",")
-	}
-	if req.Name == "" {
-		req.Name = "upload"
-	}
-	if req.Tool == "" {
-		req.Tool = "phpsafe"
-	}
-	if req.Profile == "" {
-		req.Profile = "wordpress"
 	}
 	return req, nil
 }

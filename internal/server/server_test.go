@@ -78,29 +78,22 @@ func (e *env) submitJSON(t *testing.T, body string) (int, scanJSON) {
 	return resp.StatusCode, sc
 }
 
-// wait polls a scan until it leaves the queued/running states.
+// wait long-polls a scan until it leaves the queued/running states.
 func (e *env) wait(t *testing.T, id string) scanJSON {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(e.ts.URL + "/v1/scans/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sc scanJSON
-		err = json.NewDecoder(resp.Body).Decode(&sc)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sc.Status == stateDone || sc.Status == stateFailed ||
-			sc.Status == stateCancelled || sc.Status == stateQuarantined {
-			return sc
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, err := http.Get(e.ts.URL + "/v1/scans/" + id + "?wait=30s")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("scan %s did not finish", id)
-	return scanJSON{}
+	defer resp.Body.Close()
+	var sc scanJSON
+	if err := json.NewDecoder(resp.Body).Decode(&sc); err != nil {
+		t.Fatal(err)
+	}
+	if !settledState(sc.Status) {
+		t.Fatalf("scan %s did not finish (status %s)", id, sc.Status)
+	}
+	return sc
 }
 
 func submission(name string) string {

@@ -51,8 +51,10 @@ func (s *Server) recordEvent(e obs.Event) {
 // settleEvent records a scan's terminal transition: the settled event
 // (detail = final state), the end-to-end settle-time histogram, a
 // structured log line, and the slow-scan timeline dump when the scan
-// exceeded the configured threshold. Callers pass the scan's fields
-// rather than the scan so no lock is held while logging.
+// exceeded the configured threshold. It also wakes the GET ?wait=
+// long-polls; the settled state is already visible to them. Callers
+// pass the scan's fields rather than the scan so no lock is held while
+// logging.
 func (s *Server) settleEvent(sc *scan, state scanState, errMsg string, created, finished time.Time) {
 	elapsed := finished.Sub(created)
 	if elapsed < 0 {
@@ -62,6 +64,9 @@ func (s *Server) settleEvent(sc *scan, state scanState, errMsg string, created, 
 		Scan: sc.ID, Type: evSettled, Detail: string(state),
 		Err: errMsg, DurMS: elapsed.Milliseconds(),
 	})
+	s.mu.Lock()
+	s.wakeWaitersLocked()
+	s.mu.Unlock()
 	if s.cfg.OnSettle != nil {
 		s.cfg.OnSettle(sc.ID, string(state))
 	}

@@ -27,12 +27,15 @@ import (
 )
 
 // FileResult is the replayable per-file outcome of one scan: the
-// findings attributed to the file and the summaries of the functions
-// and methods it declares. It is the payload of one artifact in the
-// incremental store and round-trips through JSON unchanged.
+// findings attributed to the file, the summaries of the functions and
+// methods it declares, and the interpreter steps its analysis took
+// (its main flow plus the uncalled-function pass over its
+// declarations). It is the payload of one artifact in the incremental
+// store and round-trips through JSON unchanged.
 type FileResult struct {
 	Findings  []analyzer.Finding          `json:"findings,omitempty"`
 	Summaries map[string]*PortableSummary `json:"summaries,omitempty"`
+	Steps     int64                       `json:"steps,omitempty"`
 }
 
 // Seed carries an incremental scan's reusable state into the engine.
@@ -41,10 +44,20 @@ type FileResult struct {
 // that stage and before the declaration inventory, with every file's
 // AST and whether the parse ran clean (no budget exhausted, no halt);
 // it returns the files, among those it was handed, whose results are
-// replayed instead of analyzed.
+// replayed instead of analyzed. When the replayed files' recorded steps
+// could have halted a cold scan, the engine scans again and calls Plan
+// once more with clean false, which must replay nothing.
 type Seed struct {
 	Parsed map[string]*phpast.File
 	Plan   func(files map[string]*phpast.File, clean bool) map[string]*FileResult
+}
+
+// replayNothing returns a seed that keeps s's AST hits and replays no
+// file.
+func (s *Seed) replayNothing() *Seed {
+	return &Seed{Parsed: s.Parsed, Plan: func(files map[string]*phpast.File, _ bool) map[string]*FileResult {
+		return s.Plan(files, false)
+	}}
 }
 
 // PortableTaint is one vulnerability-class taint with its provenance.
@@ -115,6 +128,14 @@ func (e *Engine) analyze(ctx context.Context, target *analyzer.Target, opts *ana
 	a.importSummaries()
 	tsp := scan.StartChild("taint")
 	a.run()
+	if len(a.skip) > 0 && a.gov.Steps()+a.replayedSteps() >= opts.EffectiveMaxSteps() {
+		// A cold scan also spends the replayed files' steps, so it could
+		// halt on the step budget where this scan did not, or on another
+		// step. Only a scan that replays nothing matches it then.
+		tsp.End()
+		scan.End()
+		return e.analyze(ctx, target, opts, seed.replayNothing(), export)
+	}
 	a.replaySkipped()
 	tsp.EndAndObserve("stage_taint_seconds")
 	a.result.Dedup()
@@ -153,6 +174,18 @@ func (a *analysis) importSummaries() {
 	}
 }
 
+// replayedSteps sums the interpreter steps the skipped files' analysis
+// took when their artifacts were made: what a cold scan spends on them.
+func (a *analysis) replayedSteps() int64 {
+	var n int64
+	for _, fr := range a.skip {
+		if fr != nil {
+			n += fr.Steps
+		}
+	}
+	return n
+}
+
 // replaySkipped appends the recorded findings of every skipped file.
 // Ordering relative to the freshly generated findings is irrelevant:
 // findings sharing a dedup key share a file, hence a dependency
@@ -178,7 +211,7 @@ func (a *analysis) exportArtifacts() map[string]*FileResult {
 		if a.skipped(path) {
 			continue
 		}
-		out[path] = &FileResult{}
+		out[path] = &FileResult{Steps: a.fileSteps[path]}
 	}
 	for _, f := range a.result.Findings {
 		if fr, ok := out[f.File]; ok {

@@ -252,6 +252,10 @@ type analysis struct {
 	// stats collects instrumentation counts flushed at the end of the
 	// scan (see scanStats).
 	stats scanStats
+	// fileSteps is the interpreter steps spent per file: its main flow
+	// and the uncalled-function pass over its declarations. Artifacts
+	// carry it so a replay knows what a cold scan would spend.
+	fileSteps map[string]int64
 
 	// gov enforces the scan's context and resource budgets; checkpoints
 	// in the interpreter and the model stage consult it. Never nil — an
@@ -286,6 +290,7 @@ func newAnalysis(e *Engine, target *analyzer.Target) *analysis {
 		inProgress:    make(map[string]bool),
 		includeStack:  make(map[string]bool),
 		completed:     make(map[string]bool),
+		fileSteps:     make(map[string]int64),
 		result: &analyzer.Result{
 			Tool:   e.Name(),
 			Target: target.Name,
@@ -414,10 +419,12 @@ func (a *analysis) run() {
 			break
 		}
 		path := path
+		before := a.gov.Steps()
 		ok := govern.Protect(a.gov, path, a.result, func() {
 			a.gov.BeginFile(path)
 			a.analyzeMainFlow(path)
 		})
+		a.fileSteps[path] += a.gov.Steps() - before
 		if a.gov.EndFile() {
 			// The file overran its time slice: fail it, keep the scan.
 			a.result.FilesFailed = append(a.result.FilesFailed, path)
@@ -501,11 +508,13 @@ func (a *analysis) analyzeUncalled(failed, crashed map[string]bool) {
 			return
 		}
 		name := name
+		before := a.gov.Steps()
 		if !govern.Protect(a.gov, fi.file, a.result, func() {
 			a.summarizeFunction("func:"+name, fi.file, nil, fi.decl.Params, fi.decl.Body, nil)
 		}) {
 			crashed[fi.file] = true
 		}
+		a.fileSteps[fi.file] += a.gov.Steps() - before
 	}
 
 	if !a.opts.OOP {
@@ -535,11 +544,13 @@ func (a *analysis) analyzeUncalled(failed, crashed map[string]bool) {
 			}
 			ci, cn, mn := ci, cn, mn
 			mi := ci.methods[mn]
+			before := a.gov.Steps()
 			if !govern.Protect(a.gov, mi.file, a.result, func() {
 				a.summarizeFunction("method:"+cn+"::"+mn, mi.file, ci, mi.decl.Params, mi.decl.Body, nil)
 			}) {
 				crashed[mi.file] = true
 			}
+			a.fileSteps[mi.file] += a.gov.Steps() - before
 		}
 	}
 }
