@@ -230,9 +230,7 @@ func (r *fileRefs) topRead(n phpast.Node, isSuper func(string) bool) {
 		}
 		return
 	}
-	for _, c := range phpast.Children(n) {
-		r.topRead(c, isSuper)
-	}
+	phpast.EachChild(n, func(c phpast.Node) { r.topRead(c, isSuper) })
 }
 
 // topWrite records the variables written by storing into lhs at top

@@ -7,9 +7,7 @@ func Inspect(node Node, f func(Node) bool) {
 	if node == nil || !f(node) {
 		return
 	}
-	for _, child := range Children(node) {
-		Inspect(child, f)
-	}
+	EachChild(node, func(child Node) { Inspect(child, f) })
 }
 
 // InspectStmts traverses each statement in list with Inspect.
@@ -33,193 +31,166 @@ func CountNodes(f *File) int {
 	return n
 }
 
-// Children returns the direct child nodes of n in source order. It returns
-// nil for leaves. The function is exhaustive over the node types defined in
-// this package; unknown nodes yield nil.
-func Children(n Node) []Node {
+// EachChild calls fn for each direct child node of n in source order,
+// skipping nil children. Leaves and unknown node types have none. It is
+// exhaustive over the node types defined in this package and is the one
+// place their child order is defined.
+func EachChild(n Node, fn func(Node)) {
 	switch x := n.(type) {
 	case *VarVar:
-		return []Node{x.Expr}
+		if x.Expr != nil {
+			fn(x.Expr)
+		}
 	case *PropertyFetch:
-		return nodes(x.Object, x.NameExpr)
+		eachExpr(fn, x.Object, x.NameExpr)
 	case *IndexFetch:
-		return nodes(x.Base, x.Index)
+		eachExpr(fn, x.Base, x.Index)
 	case *FuncCall:
-		return argNodes(x.NameExpr, x.Args)
+		eachExpr(fn, x.NameExpr)
+		eachArg(fn, x.Args)
 	case *MethodCall:
-		return argNodes(nil, x.Args, x.Object, x.NameExpr)
+		eachExpr(fn, x.Object, x.NameExpr)
+		eachArg(fn, x.Args)
 	case *StaticCall:
-		return argNodes(nil, x.Args)
+		eachArg(fn, x.Args)
 	case *New:
-		return argNodes(x.ClassExpr, x.Args)
+		eachExpr(fn, x.ClassExpr)
+		eachArg(fn, x.Args)
 	case *Assign:
-		return nodes(x.LHS, x.RHS)
+		eachExpr(fn, x.LHS, x.RHS)
 	case *Binary:
-		return nodes(x.L, x.R)
+		eachExpr(fn, x.L, x.R)
 	case *Unary:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *IncDec:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *Ternary:
-		return nodes(x.Cond, x.Then, x.Else)
+		eachExpr(fn, x.Cond, x.Then, x.Else)
 	case *Cast:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *InterpString:
-		return exprNodes(x.Parts)
+		eachExpr(fn, x.Parts...)
 	case *ArrayLit:
-		out := make([]Node, 0, 2*len(x.Items))
 		for _, it := range x.Items {
-			out = appendNode(out, it.Key)
-			out = appendNode(out, it.Value)
+			eachExpr(fn, it.Key, it.Value)
 		}
-		return out
 	case *ListExpr:
-		return exprNodes(x.Targets)
+		eachExpr(fn, x.Targets...)
 	case *IssetExpr:
-		return exprNodes(x.Vars)
+		eachExpr(fn, x.Vars...)
 	case *EmptyExpr:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *IncludeExpr:
-		return nodes(x.Path)
+		eachExpr(fn, x.Path)
 	case *ExitExpr:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *PrintExpr:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *CloneExpr:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *InstanceOf:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *Closure:
-		out := make([]Node, 0, len(x.Params)+len(x.Body))
-		for _, p := range x.Params {
-			out = appendNode(out, p.Default)
-		}
-		return appendStmts(out, x.Body)
+		eachParam(fn, x.Params)
+		eachStmt(fn, x.Body)
 
 	case *ExprStmt:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *Echo:
-		return exprNodes(x.Args)
+		eachExpr(fn, x.Args...)
 	case *Block:
-		return appendStmts(nil, x.List)
+		eachStmt(fn, x.List)
 	case *If:
-		out := nodes(x.Cond)
-		out = appendStmts(out, x.Then)
+		eachExpr(fn, x.Cond)
+		eachStmt(fn, x.Then)
 		for _, ei := range x.Elseifs {
-			out = appendNode(out, ei.Cond)
-			out = appendStmts(out, ei.Body)
+			eachExpr(fn, ei.Cond)
+			eachStmt(fn, ei.Body)
 		}
-		return appendStmts(out, x.Else)
+		eachStmt(fn, x.Else)
 	case *While:
-		return appendStmts(nodes(x.Cond), x.Body)
+		eachExpr(fn, x.Cond)
+		eachStmt(fn, x.Body)
 	case *DoWhile:
-		return appendNode(appendStmts(nil, x.Body), x.Cond)
+		eachStmt(fn, x.Body)
+		eachExpr(fn, x.Cond)
 	case *For:
-		out := exprNodes(x.Init)
-		out = append(out, exprNodes(x.Cond)...)
-		out = append(out, exprNodes(x.Post)...)
-		return appendStmts(out, x.Body)
+		eachExpr(fn, x.Init...)
+		eachExpr(fn, x.Cond...)
+		eachExpr(fn, x.Post...)
+		eachStmt(fn, x.Body)
 	case *Foreach:
-		out := nodes(x.Expr, x.Key, x.Value)
-		return appendStmts(out, x.Body)
+		eachExpr(fn, x.Expr, x.Key, x.Value)
+		eachStmt(fn, x.Body)
 	case *Switch:
-		out := nodes(x.Cond)
+		eachExpr(fn, x.Cond)
 		for _, c := range x.Cases {
-			out = appendNode(out, c.Cond)
-			out = appendStmts(out, c.Body)
+			eachExpr(fn, c.Cond)
+			eachStmt(fn, c.Body)
 		}
-		return out
 	case *Return:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *StaticVars:
-		var out []Node
 		for _, v := range x.Vars {
-			out = appendNode(out, v.Default)
+			eachExpr(fn, v.Default)
 		}
-		return out
 	case *Unset:
-		return exprNodes(x.Vars)
+		eachExpr(fn, x.Vars...)
 	case *Throw:
-		return nodes(x.X)
+		eachExpr(fn, x.X)
 	case *Try:
-		out := appendStmts(nil, x.Body)
+		eachStmt(fn, x.Body)
 		for _, c := range x.Catches {
-			out = appendStmts(out, c.Body)
+			eachStmt(fn, c.Body)
 		}
-		return appendStmts(out, x.Finally)
+		eachStmt(fn, x.Finally)
 	case *FuncDecl:
-		out := make([]Node, 0, len(x.Params)+len(x.Body))
-		for _, p := range x.Params {
-			out = appendNode(out, p.Default)
-		}
-		return appendStmts(out, x.Body)
+		eachParam(fn, x.Params)
+		eachStmt(fn, x.Body)
 	case *ClassDecl:
-		var out []Node
 		for _, p := range x.Props {
-			out = appendNode(out, p.Default)
+			eachExpr(fn, p.Default)
 		}
 		for _, c := range x.Consts {
-			out = appendNode(out, c.Value)
+			eachExpr(fn, c.Value)
 		}
 		for _, m := range x.Methods {
-			for _, p := range m.Params {
-				out = appendNode(out, p.Default)
-			}
-			out = appendStmts(out, m.Body)
+			eachParam(fn, m.Params)
+			eachStmt(fn, m.Body)
 		}
-		return out
-	default:
-		return nil
 	}
 }
 
-// nodes collects the non-nil expressions into a node slice.
-func nodes(exprs ...Expr) []Node {
-	out := make([]Node, 0, len(exprs))
+// eachExpr calls fn for each non-nil expression.
+func eachExpr(fn func(Node), exprs ...Expr) {
 	for _, e := range exprs {
-		out = appendNode(out, e)
+		if !isNilExpr(e) {
+			fn(e)
+		}
 	}
-	return out
 }
 
-// exprNodes converts an expression slice to nodes, skipping nils.
-func exprNodes(exprs []Expr) []Node {
-	out := make([]Node, 0, len(exprs))
-	for _, e := range exprs {
-		out = appendNode(out, e)
-	}
-	return out
-}
-
-// argNodes collects pre-expressions, then argument values.
-func argNodes(pre Expr, args []Arg, more ...Expr) []Node {
-	out := make([]Node, 0, len(args)+len(more)+1)
-	for _, e := range more {
-		out = appendNode(out, e)
-	}
-	out = appendNode(out, pre)
+// eachArg calls fn for each argument value.
+func eachArg(fn func(Node), args []Arg) {
 	for _, a := range args {
-		out = appendNode(out, a.Value)
+		eachExpr(fn, a.Value)
 	}
-	return out
 }
 
-// appendNode appends e when it is a non-nil node.
-func appendNode(out []Node, e Expr) []Node {
-	if isNilExpr(e) {
-		return out
+// eachParam calls fn for each parameter default.
+func eachParam(fn func(Node), params []Param) {
+	for _, p := range params {
+		eachExpr(fn, p.Default)
 	}
-	return append(out, e)
 }
 
-// appendStmts appends all non-nil statements.
-func appendStmts(out []Node, list []Stmt) []Node {
+// eachStmt calls fn for each non-nil statement.
+func eachStmt(fn func(Node), list []Stmt) {
 	for _, s := range list {
 		if s != nil {
-			out = append(out, s)
+			fn(s)
 		}
 	}
-	return out
 }
 
 // isNilExpr reports whether e is nil, including a typed nil inside the

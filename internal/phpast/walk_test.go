@@ -12,6 +12,13 @@ func lit(s string) *Literal {
 // v builds a variable node.
 func v(name string) *Var { return &Var{Name: name, Position: NewPosition(1)} }
 
+// children collects the direct children EachChild yields.
+func children(n Node) []Node {
+	var out []Node
+	EachChild(n, func(c Node) { out = append(out, c) })
+	return out
+}
+
 func TestInspectVisitsAllNodes(t *testing.T) {
 	t.Parallel()
 	// echo "a" . $x; inside if ($c) { ... } else { unset($y); }
@@ -75,7 +82,7 @@ func TestChildrenCoverage(t *testing.T) {
 		Name:   "m",
 		Args:   []Arg{{Value: lit("a")}, {Value: v("b")}},
 	}
-	if got := len(Children(mc)); got != 3 {
+	if got := len(children(mc)); got != 3 {
 		t.Errorf("MethodCall children = %d, want 3", got)
 	}
 
@@ -83,7 +90,7 @@ func TestChildrenCoverage(t *testing.T) {
 		{Key: lit("k"), Value: v("a")},
 		{Value: v("b")},
 	}}
-	if got := len(Children(al)); got != 3 {
+	if got := len(children(al)); got != 3 {
 		t.Errorf("ArrayLit children = %d, want 3", got)
 	}
 
@@ -94,7 +101,7 @@ func TestChildrenCoverage(t *testing.T) {
 			{Body: []Stmt{&Continue{}}},
 		},
 	}
-	if got := len(Children(sw)); got != 4 {
+	if got := len(children(sw)); got != 4 {
 		t.Errorf("Switch children = %d, want 4", got)
 	}
 
@@ -107,7 +114,7 @@ func TestChildrenCoverage(t *testing.T) {
 			Body:   []Stmt{&Return{X: v("a")}},
 		}},
 	}
-	if got := len(Children(cd)); got != 3 {
+	if got := len(children(cd)); got != 3 {
 		t.Errorf("ClassDecl children = %d, want 3 (prop default, param default, body stmt)", got)
 	}
 
@@ -116,7 +123,7 @@ func TestChildrenCoverage(t *testing.T) {
 		Catches: []Catch{{Class: "E", Var: "e", Body: []Stmt{&Continue{}}}},
 		Finally: []Stmt{&Break{}},
 	}
-	if got := len(Children(try)); got != 3 {
+	if got := len(children(try)); got != 3 {
 		t.Errorf("Try children = %d, want 3", got)
 	}
 }
@@ -195,8 +202,41 @@ func TestChildrenMoreNodeTypes(t *testing.T) {
 		{&InlineHTML{Text: "<p>"}, 0},
 	}
 	for i, tc := range cases {
-		if got := len(Children(tc.node)); got != tc.want {
+		if got := len(children(tc.node)); got != tc.want {
 			t.Errorf("case %d (%T): children = %d, want %d", i, tc.node, got, tc.want)
+		}
+	}
+}
+
+func TestEachChildOrder(t *testing.T) {
+	t.Parallel()
+	var nilVar *Var
+	a, b, c, d := v("a"), v("b"), v("c"), v("d")
+	brk, els := &Break{}, &ExprStmt{X: c}
+	cases := []struct {
+		node Node
+		want []Node
+	}{
+		{&MethodCall{Object: a, NameExpr: b, Args: []Arg{{Value: c}, {Value: nilVar}, {Value: d}}}, []Node{a, b, c, d}},
+		{&FuncCall{NameExpr: a, Args: []Arg{{Value: b}}}, []Node{a, b}},
+		{&New{ClassExpr: a, Args: []Arg{{Value: b}}}, []Node{a, b}},
+		{&DoWhile{Body: []Stmt{brk, nil}, Cond: a}, []Node{brk, a}},
+		{&ArrayLit{Items: []ArrayItem{{Key: a, Value: b}, {Value: c}}}, []Node{a, b, c}},
+		{&If{Cond: a, Then: []Stmt{brk}, Elseifs: []ElseIf{{Cond: b}}, Else: []Stmt{els}},
+			[]Node{a, brk, b, els}},
+		{&Ternary{Cond: a, Else: b}, []Node{a, b}},
+		{&VarVar{}, nil},
+	}
+	for i, tc := range cases {
+		got := children(tc.node)
+		if len(got) != len(tc.want) {
+			t.Errorf("case %d (%T): %d children, want %d", i, tc.node, len(got), len(tc.want))
+			continue
+		}
+		for j := range got {
+			if got[j] != tc.want[j] {
+				t.Errorf("case %d (%T): child %d = %#v, want %#v", i, tc.node, j, got[j], tc.want[j])
+			}
 		}
 	}
 }

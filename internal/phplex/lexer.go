@@ -725,12 +725,15 @@ func (l *Lexer) castAhead() (phptoken.Kind, int, bool) {
 	return k, i + 1 - l.pos, true
 }
 
-// operators lists multi-character operators longest-first so the scanner
-// can use simple prefix matching.
-var operators = []struct {
+// operator is one entry of the operator table.
+type operator struct {
 	text string
 	kind phptoken.Kind
-}{
+}
+
+// operators lists multi-character operators longest-first so the scanner
+// can use simple prefix matching.
+var operators = []operator{
 	{"===", phptoken.IsIdentical},
 	{"!==", phptoken.IsNotIdentical},
 	{"<<=", phptoken.ShlAssign},
@@ -784,9 +787,18 @@ var operators = []struct {
 	{"\\", phptoken.Backslash},
 }
 
+// operatorsByByte indexes operators by their first byte, keeping the
+// table's longest-first order within each byte.
+var operatorsByByte = func() (idx [256][]operator) {
+	for _, op := range operators {
+		idx[op.text[0]] = append(idx[op.text[0]], op)
+	}
+	return idx
+}()
+
 // lexOperator scans punctuation and operators with longest-match-first.
 func (l *Lexer) lexOperator(start int) phptoken.Token {
-	for _, op := range operators {
+	for _, op := range operatorsByByte[l.src[l.pos]] {
 		if l.hasPrefix(op.text) {
 			l.advance(len(op.text))
 			return l.token(op.kind, start)

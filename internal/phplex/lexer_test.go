@@ -351,6 +351,20 @@ func TestTokenizeOperators(t *testing.T) {
 	if !eqKinds(got, want) {
 		t.Fatalf("kinds = %v, want %v", got, want)
 	}
+	// Every entry of the operator table lexes alone to its own kind, and
+	// between two identifiers to exactly three tokens.
+	for _, op := range operators {
+		toks := TokenizeCode("<?php "+op.text, nil, nil, nil)
+		if len(toks) != 3 || toks[1].Kind != op.kind || toks[1].Text != op.text {
+			t.Errorf("%q alone: tokens %v, want open tag, %v, EOF", op.text, toks, op.kind)
+		}
+		PutTokens(toks)
+		got := kinds("<?php a" + op.text + "b")
+		want := []phptoken.Kind{phptoken.OpenTag, phptoken.Ident, op.kind, phptoken.Ident}
+		if !eqKinds(got, want) {
+			t.Errorf("a%sb: kinds = %v, want %v", op.text, got, want)
+		}
+	}
 }
 
 func TestTokenizeLineNumbers(t *testing.T) {

@@ -1047,27 +1047,30 @@ func (p *parser) parseWordAnd() phpast.Expr {
 	return left
 }
 
-// assignOps maps assignment token kinds to their operator spellings.
-var assignOps = map[phptoken.Kind]string{
-	phptoken.Assign:        "=",
-	phptoken.PlusAssign:    "+=",
-	phptoken.MinusAssign:   "-=",
-	phptoken.StarAssign:    "*=",
-	phptoken.SlashAssign:   "/=",
-	phptoken.DotAssign:     ".=",
-	phptoken.PercentAssign: "%=",
-	phptoken.AmpAssign:     "&=",
-	phptoken.PipeAssign:    "|=",
-	phptoken.CaretAssign:   "^=",
-	phptoken.ShlAssign:     "<<=",
-	phptoken.ShrAssign:     ">>=",
+// assignOps lists the assignment operators and their spellings.
+var assignOps = []struct {
+	kind phptoken.Kind
+	op   string
+}{
+	{phptoken.Assign, "="},
+	{phptoken.PlusAssign, "+="},
+	{phptoken.MinusAssign, "-="},
+	{phptoken.StarAssign, "*="},
+	{phptoken.SlashAssign, "/="},
+	{phptoken.DotAssign, ".="},
+	{phptoken.PercentAssign, "%="},
+	{phptoken.AmpAssign, "&="},
+	{phptoken.PipeAssign, "|="},
+	{phptoken.CaretAssign, "^="},
+	{phptoken.ShlAssign, "<<="},
+	{phptoken.ShrAssign, ">>="},
 }
 
 // parseAssign parses right-associative assignment expressions.
 func (p *parser) parseAssign() phpast.Expr {
 	left := p.parseTernary()
-	op, ok := assignOps[p.cur().Kind]
-	if !ok {
+	op := p.curOp().assign
+	if op == "" {
 		return left
 	}
 	line := p.next().Line
@@ -1081,7 +1084,7 @@ func (p *parser) parseAssign() phpast.Expr {
 
 // parseTernary parses cond ? then : else and the short ?: form.
 func (p *parser) parseTernary() phpast.Expr {
-	cond := p.parseBinary(0)
+	cond := p.parseBinary(1)
 	if !p.at(phptoken.Question) {
 		return cond
 	}
@@ -1118,29 +1121,52 @@ var binaryLevels = [][]struct {
 	{{phptoken.Star, "*"}, {phptoken.Slash, "/"}, {phptoken.Percent, "%"}},
 }
 
-// parseBinary parses binary operators at the given precedence level and
-// tighter.
-func (p *parser) parseBinary(level int) phpast.Expr {
-	if level >= len(binaryLevels) {
-		return p.parseUnary()
-	}
-	left := p.parseBinary(level + 1)
-	for {
-		matched := false
-		for _, cand := range binaryLevels[level] {
-			if p.at(cand.kind) {
-				line := p.next().Line
-				right := p.parseBinary(level + 1)
-				left = &phpast.Binary{
-					Op: cand.op, L: left, R: right,
-					Position: phpast.NewPosition(line),
-				}
-				matched = true
-				break
-			}
+// kindOp is what the expression parser needs to know about a token
+// kind as an operator.
+type kindOp struct {
+	level  int    // binary precedence: 1 is binaryLevels[0]; 0 is not binary
+	binary string // binary operator spelling
+	assign string // assignment operator spelling; "" is not an assignment
+}
+
+// kindOps indexes binaryLevels and assignOps by token kind.
+var kindOps = func() []kindOp {
+	ops := make([]kindOp, phptoken.KindCount())
+	for i, level := range binaryLevels {
+		for _, b := range level {
+			ops[b.kind].level, ops[b.kind].binary = i+1, b.op
 		}
-		if !matched {
+	}
+	for _, a := range assignOps {
+		ops[a.kind].assign = a.op
+	}
+	return ops
+}()
+
+// curOp returns the operator entry of the current token's kind.
+func (p *parser) curOp() kindOp {
+	if k := p.cur().Kind; k >= 0 && int(k) < len(kindOps) {
+		return kindOps[k]
+	}
+	return kindOp{}
+}
+
+// parseBinary parses a chain of binary operators at precedence level min
+// (at least 1) and tighter by precedence climbing. Every level is
+// left-associative, so the right operand of an operator takes only
+// tighter operators.
+func (p *parser) parseBinary(min int) phpast.Expr {
+	left := p.parseUnary()
+	for {
+		op := p.curOp()
+		if op.level < min {
 			return left
+		}
+		line := p.next().Line
+		right := p.parseBinary(op.level + 1)
+		left = &phpast.Binary{
+			Op: op.binary, L: left, R: right,
+			Position: phpast.NewPosition(line),
 		}
 	}
 }

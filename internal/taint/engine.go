@@ -450,11 +450,14 @@ func (a *analysis) run() {
 // failOversizedFiles applies the include-budget robustness model: a file
 // whose transitive include closure exceeds the budget is reported as not
 // analyzed, reproducing the paper's phpSAFE failures (1 file in the 2012
-// corpus, 3 in 2014).
+// corpus, 3 in 2014). Each file's AST is walked at most once per scan.
 func (a *analysis) failOversizedFiles() map[string]bool {
 	failed := make(map[string]bool)
+	edges := make(map[string][]string, len(a.files))
+	seen := make(map[string]bool)
 	for _, path := range a.fileOrder {
-		size := a.includeClosureSize(path, make(map[string]bool))
+		clear(seen)
+		size := a.includeClosureSize(path, edges, seen)
 		if size > a.opts.IncludeBudget {
 			failed[path] = true
 			a.result.FilesFailed = append(a.result.FilesFailed, path)
@@ -466,27 +469,35 @@ func (a *analysis) failOversizedFiles() map[string]bool {
 	return failed
 }
 
-// includeClosureSize counts the transitive include closure of path.
-func (a *analysis) includeClosureSize(path string, seen map[string]bool) int {
+// includeClosureSize counts the transitive include closure of path: each
+// resolved include adds one, plus the closure of its target when this
+// walk has not seen the target yet. edges caches each file's resolved
+// include targets in AST order, duplicates included.
+func (a *analysis) includeClosureSize(path string, edges map[string][]string, seen map[string]bool) int {
 	if seen[path] {
 		return 0
 	}
 	seen[path] = true
-	f, ok := a.files[path]
+	targets, ok := edges[path]
 	if !ok {
-		return 0
+		f, ok := a.files[path]
+		if !ok {
+			return 0
+		}
+		phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
+			if inc, ok := n.(*phpast.IncludeExpr); ok {
+				if target, resolved := a.resolveIncludePath(path, inc.Path); resolved {
+					targets = append(targets, target)
+				}
+			}
+			return true
+		})
+		edges[path] = targets
 	}
 	count := 0
-	phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
-		inc, ok := n.(*phpast.IncludeExpr)
-		if !ok {
-			return true
-		}
-		if target, resolved := a.resolveIncludePath(path, inc.Path); resolved {
-			count += 1 + a.includeClosureSize(target, seen)
-		}
-		return true
-	})
+	for _, target := range targets {
+		count += 1 + a.includeClosureSize(target, edges, seen)
+	}
 	return count
 }
 

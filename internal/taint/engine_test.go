@@ -485,6 +485,62 @@ func TestIncludeBudgetFailsFile(t *testing.T) {
 	}
 }
 
+// TestIncludeBudgetCountsEdges pins the include-closure count the budget
+// compares: a depth-first walk from each file in which every resolved
+// include adds one, an include of a file already on the walk adds one
+// and nothing more, and an unresolved include adds nothing.
+func TestIncludeBudgetCountsEdges(t *testing.T) {
+	t.Parallel()
+	files := []analyzer.SourceFile{
+		// a: b twice, an unresolvable literal, a dynamic path, then c.
+		{Path: "a.php", Content: `<?php
+include 'b.php';
+include 'b.php';
+include 'missing.php';
+include $dyn;
+include 'c.php';
+echo $_GET['a'];`},
+		// b closes the cycle a -> b -> a, then reaches d.
+		{Path: "b.php", Content: "<?php\ninclude 'a.php';\ninclude 'd.php';\n"},
+		{Path: "c.php", Content: "<?php\nrequire_once dirname(__FILE__) . '/d.php';\n"},
+		{Path: "d.php", Content: "<?php $d = 1;"},
+	}
+	// a: b (1 + b's a and d = 3), b again (1), c (1 + d = 2): 6.
+	// b: a (1 + a's b, b again and c with d = 5), d already seen (1): 6.
+	// c: d (1). d: 0.
+	sizes := map[string]int{"a.php": 6, "b.php": 6, "c.php": 1}
+	for _, budget := range []int{6, 5, 1, 0} {
+		opts := DefaultOptions()
+		opts.IncludeBudget = budget
+		eng := New(rulepack.MustCompile("wordpress"), opts)
+		res, err := eng.AnalyzeContext(context.Background(), &analyzer.Target{Name: "includes", Files: files}, nil)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		var want []string
+		for _, f := range files {
+			if size := sizes[f.Path]; size > budget {
+				want = append(want, fmt.Sprintf(
+					"%s: include closure of %d files exceeds budget %d; file not analyzed",
+					f.Path, size, budget))
+			}
+		}
+		var got []string
+		for _, e := range res.Errors {
+			if strings.Contains(e, "include closure") {
+				got = append(got, e)
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("budget %d: include errors =\n%s\nwant\n%s", budget,
+				strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		if len(res.FilesFailed) != len(want) {
+			t.Errorf("budget %d: FilesFailed = %v, want %d files", budget, res.FilesFailed, len(want))
+		}
+	}
+}
+
 func TestGlobalKeywordBinding(t *testing.T) {
 	t.Parallel()
 	res := scan(t, `<?php
