@@ -34,9 +34,6 @@
 //	                    coordinator: worker heartbeat probe cadence
 //	                    (default 1s); dead workers are re-probed on the
 //	                    jittered -retry-base/-retry-cap backoff curve
-//	-revive-after K     coordinator: consecutive successful probes a
-//	                    suspect/dead worker must answer before it
-//	                    re-enters the ring (default 2; flap damping)
 //	-queue N            queued-scan bound; beyond it submissions get
 //	                    HTTP 429 (default 64)
 //	-job-timeout D      per-scan context timeout (default 2m)
@@ -139,7 +136,6 @@ func run() int {
 	advertise := flag.String("advertise", "", "worker: base URL this worker serves on, reported in heartbeats and announced via -join")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "coordinator: duplicate a dispatch to the next ring owner after this delay (0 = off)")
 	heartbeatInterval := flag.Duration("heartbeat-interval", time.Second, "coordinator: worker heartbeat probe cadence")
-	reviveAfter := flag.Int("revive-after", 2, "coordinator: consecutive successful probes before a suspect/dead worker revives")
 	queue := flag.Int("queue", 64, "max queued scans before submissions get 429")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-scan context timeout")
 	cacheMB := flag.Int64("cache-mb", 256, "result cache budget in MiB")
@@ -182,9 +178,15 @@ func run() int {
 	case "standalone", "worker":
 	case "coordinator":
 		for _, u := range strings.Split(*fleetWorkersFlag, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				fleetWorkers = append(fleetWorkers, strings.TrimRight(u, "/"))
+			if u = strings.TrimSpace(u); u == "" {
+				continue
 			}
+			w, err := fleet.CanonicalURL(u)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "phpsafed: -fleet-workers: %v\n", err)
+				return 2
+			}
+			fleetWorkers = append(fleetWorkers, w)
 		}
 		if len(fleetWorkers) == 0 && *journalDir == "" {
 			dlog.Warn("coordinator starting with no workers; the fleet is empty until workers announce via -join")
@@ -210,6 +212,18 @@ func run() int {
 	if *joinURL != "" && *advertise == "" {
 		fmt.Fprintln(os.Stderr, "phpsafed: -join requires -advertise (the URL the coordinator should dispatch to)")
 		return 2
+	}
+	for _, u := range []struct {
+		flag string
+		v    *string
+	}{{"-join", joinURL}, {"-advertise", advertise}} {
+		if *u.v == "" {
+			continue
+		}
+		if *u.v, err = fleet.CanonicalURL(*u.v); err != nil {
+			fmt.Fprintf(os.Stderr, "phpsafed: %s: %v\n", u.flag, err)
+			return 2
+		}
 	}
 
 	// A daemon is always instrumented: /metrics is part of the API.
@@ -265,7 +279,6 @@ func run() int {
 		fl = fleet.New(fleet.Config{
 			Workers:           members,
 			HeartbeatInterval: *heartbeatInterval,
-			ReviveAfter:       *reviveAfter,
 			HedgeDelay:        *hedgeDelay,
 			ReconnectBackoff:  jobs.RetryPolicy{Base: *retryBase, Cap: *retryCap},
 			Journal:           journal,
@@ -349,7 +362,7 @@ func run() int {
 	defer stop()
 
 	if *joinURL != "" {
-		go fleet.Announce(ctx, nil, strings.TrimRight(*joinURL, "/"), *advertise,
+		go fleet.Announce(ctx, nil, *joinURL, *advertise,
 			jobs.RetryPolicy{Base: *retryBase, Cap: *retryCap}, logger)
 	}
 

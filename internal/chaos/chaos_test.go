@@ -337,9 +337,7 @@ func (cp *coordProc) boot() {
 	fl := fleet.New(fleet.Config{
 		Workers:           members,
 		HeartbeatInterval: 60 * time.Millisecond,
-		SuspectAfter:      1,
 		DeadAfter:         3,
-		ReviveAfter:       2,
 		HedgeDelay:        60 * time.Millisecond,
 		ReconnectBackoff:  jobs.RetryPolicy{Base: 20 * time.Millisecond, Cap: 120 * time.Millisecond},
 		Journal:           jrnl,

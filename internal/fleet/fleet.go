@@ -30,8 +30,10 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -79,7 +81,7 @@ const (
 
 // Worker health states. A worker starts alive (the fleet probes
 // immediately, so a configured-but-absent worker is demoted within one
-// interval), turns suspect after SuspectAfter consecutive misses, and
+// interval), turns suspect after suspectAfter consecutive misses, and
 // dead after DeadAfter. Dead workers leave the dispatch ring and their
 // in-flight dispatches are severed so the coordinator's retry machinery
 // can hand the scans to the next owner.
@@ -89,28 +91,30 @@ const (
 	StateDead    = "dead"
 )
 
+// Health thresholds no deployment tunes. suspectAfter is the
+// consecutive-miss count for alive→suspect. reviveAfter is the
+// consecutive-success count for suspect/dead→alive: a flapping link
+// must answer that many probes in a row before the worker re-enters
+// the ring, so one lucky packet cannot thrash ownership back and
+// forth. Suppressed revivals count in fleet_flaps_suppressed_total.
+const (
+	suspectAfter = 1
+	reviveAfter  = 2
+)
+
 // Config shapes a coordinator's fleet.
 type Config struct {
 	// Workers are the worker base URLs (e.g. "http://127.0.0.1:9101").
-	// They are the consistent-hash ring members; order is irrelevant.
+	// They are the consistent-hash ring members, in CanonicalURL form
+	// (invalid entries are logged and skipped); order is irrelevant.
 	// The set may start empty when workers auto-register via the join
 	// endpoint (AddWorker).
 	Workers []string
-	// Replicas is the virtual-node count per worker at weight 1
-	// (DefaultReplicas when 0).
-	Replicas int
 	// HeartbeatInterval is the probe cadence (default 1s).
 	HeartbeatInterval time.Duration
-	// SuspectAfter / DeadAfter are the consecutive-miss thresholds for
-	// the alive→suspect and →dead transitions (defaults 1 and 3).
-	SuspectAfter int
-	DeadAfter    int
-	// ReviveAfter is the consecutive-success threshold for the
-	// suspect/dead → alive transition (default 2): a flapping link must
-	// answer K probes in a row before the worker re-enters the ring, so
-	// one lucky packet cannot thrash ownership back and forth. Suppressed
-	// revivals count in fleet_flaps_suppressed_total.
-	ReviveAfter int
+	// DeadAfter is the consecutive-miss threshold for the →dead
+	// transition (values below 2 take the default, 3).
+	DeadAfter int
 	// HedgeDelay, when positive, arms hedged dispatch: an attempt still
 	// unsettled after the delay is duplicated to the next ring owner and
 	// the first result wins. Zero disables hedging.
@@ -149,11 +153,6 @@ type workerHealth struct {
 	// Reported by the worker's heartbeat payload.
 	inflight   int
 	queueDepth int
-	capacity   int // pool worker count, the basis of the ring weight
-
-	// weight is the quantized ring weight derived from capacity and
-	// queue depth; the ring is rebuilt only when it changes.
-	weight int
 
 	// dispatches maps scan id → cancel for this worker's in-flight
 	// dispatch HTTP calls; severed wholesale when the worker dies.
@@ -185,14 +184,8 @@ func New(cfg Config) *Fleet {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = time.Second
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 1
-	}
-	if cfg.DeadAfter <= cfg.SuspectAfter {
-		cfg.DeadAfter = cfg.SuspectAfter + 2
-	}
-	if cfg.ReviveAfter <= 0 {
-		cfg.ReviveAfter = 2
+	if cfg.DeadAfter <= suspectAfter {
+		cfg.DeadAfter = suspectAfter + 2
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -206,16 +199,25 @@ func New(cfg Config) *Fleet {
 		cfg:       cfg,
 		rec:       cfg.Recorder,
 		log:       log,
-		ring:      NewRing(cfg.Workers, cfg.Replicas),
 		client:    client,
 		quit:      make(chan struct{}),
 		workers:   make(map[string]*workerHealth, len(cfg.Workers)),
 		lastOwner: make(map[string]string),
 	}
+	members := make([]string, 0, len(cfg.Workers))
+	for _, raw := range cfg.Workers {
+		addr, err := CanonicalURL(raw)
+		if err != nil {
+			log.Warn("fleet worker URL rejected", "worker", raw, "error", err.Error())
+			continue
+		}
+		members = append(members, addr)
+	}
+	f.ring = NewRing(members)
 	now := f.rec.Now()
 	for _, addr := range f.ring.Members() {
 		f.workers[addr] = &workerHealth{
-			addr: addr, state: StateAlive, lastBeat: now, weight: MinWeight,
+			addr: addr, state: StateAlive, lastBeat: now,
 			dispatches: make(map[string]context.CancelFunc),
 		}
 	}
@@ -228,18 +230,21 @@ func New(cfg Config) *Fleet {
 // the announcement lied) and is journaled so the membership survives a
 // coordinator restart. Re-announcements of a known member are idempotent
 // and refresh nothing — liveness stays the heartbeat monitor's job.
-// It reports whether the member was new.
-func (f *Fleet) AddWorker(addr string) bool {
-	if addr == "" {
-		return false
+// raw is canonicalized first, so "http://w:1/" re-announces the member
+// "http://w:1". It reports whether the member was new, and an error
+// (admitting nothing) when raw is not a valid base URL.
+func (f *Fleet) AddWorker(raw string) (bool, error) {
+	addr, err := CanonicalURL(raw)
+	if err != nil {
+		return false, err
 	}
 	f.mu.Lock()
 	if _, ok := f.workers[addr]; ok {
 		f.mu.Unlock()
-		return false
+		return false, nil
 	}
 	f.workers[addr] = &workerHealth{
-		addr: addr, state: StateAlive, lastBeat: f.rec.Now(), weight: MinWeight,
+		addr: addr, state: StateAlive, lastBeat: f.rec.Now(),
 		dispatches: make(map[string]context.CancelFunc),
 	}
 	f.rebuildRingLocked()
@@ -255,7 +260,27 @@ func (f *Fleet) AddWorker(addr string) bool {
 			Type: durable.RecFleetMember, Time: f.rec.Now(), Worker: addr,
 		})
 	}
-	return true
+	return true, nil
+}
+
+// CanonicalURL returns the one spelling of a fleet base URL that ring
+// membership and dispatch paths are built from: "scheme://host", with
+// scheme http or https. A trailing "/" is dropped; any other path, a
+// query or a fragment is an error, since the fleet appends its own
+// paths ("/internal/v1/scan") to the base.
+func CanonicalURL(raw string) (string, error) {
+	u, err := url.Parse(raw)
+	switch {
+	case err != nil:
+		return "", fmt.Errorf("fleet: base URL %q: %w", raw, err)
+	case u.Scheme != "http" && u.Scheme != "https":
+		return "", fmt.Errorf("fleet: base URL %q: scheme must be http or https", raw)
+	case u.Host == "":
+		return "", fmt.Errorf("fleet: base URL %q: no host", raw)
+	case u.Opaque != "" || (u.Path != "" && u.Path != "/") || u.RawQuery != "" || u.ForceQuery || u.Fragment != "":
+		return "", fmt.Errorf("fleet: base URL %q: want scheme://host with no path, query or fragment", raw)
+	}
+	return u.Scheme + "://" + u.Host, nil
 }
 
 // MemberRecords snapshots the membership as journal records, one
@@ -288,19 +313,14 @@ func MembersFromRecords(records []durable.Record) []string {
 	return out
 }
 
-// rebuildRingLocked reconstitutes the ring from the current member set
-// and quantized weights; caller holds f.mu.
+// rebuildRingLocked reconstitutes the ring from the current member set;
+// caller holds f.mu.
 func (f *Fleet) rebuildRingLocked() {
 	members := make([]string, 0, len(f.workers))
 	for addr := range f.workers {
 		members = append(members, addr)
 	}
-	f.ring = NewWeightedRing(members, f.cfg.Replicas, func(m string) int {
-		if w, ok := f.workers[m]; ok && w.weight > 0 {
-			return w.weight
-		}
-		return MinWeight
-	})
+	f.ring = NewRing(members)
 }
 
 // Start launches the heartbeat monitor loop.
@@ -336,7 +356,6 @@ type WorkerStatus struct {
 	LastBeat   time.Time `json:"last_heartbeat"`
 	Inflight   int       `json:"inflight"`
 	QueueDepth int       `json:"queue_depth"`
-	Weight     int       `json:"weight"`
 	Dispatches int       `json:"dispatches_inflight"`
 }
 
@@ -356,7 +375,7 @@ func (f *Fleet) Status() (any, bool) {
 		out = append(out, WorkerStatus{
 			Addr: w.addr, State: w.state, Misses: w.misses,
 			LastBeat: w.lastBeat, Inflight: w.inflight,
-			QueueDepth: w.queueDepth, Weight: w.weight,
+			QueueDepth: w.queueDepth,
 			Dispatches: len(w.dispatches),
 		})
 	}

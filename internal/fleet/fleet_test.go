@@ -75,7 +75,6 @@ func newCoordinator(t *testing.T, workerURLs []string) (*httptest.Server, *Fleet
 	fl := New(Config{
 		Workers:           workerURLs,
 		HeartbeatInterval: 50 * time.Millisecond,
-		SuspectAfter:      1,
 		DeadAfter:         2,
 		ReconnectBackoff:  jobs.RetryPolicy{Base: 20 * time.Millisecond, Cap: 100 * time.Millisecond},
 		Recorder:          rec,

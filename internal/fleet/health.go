@@ -117,37 +117,6 @@ func (f *Fleet) settleProbe(addr string, hb *heartbeatPayload, err error) {
 	f.reviveLocked(w)
 	w.inflight = hb.Inflight
 	w.queueDepth = hb.QueueDepth
-	w.capacity = hb.Workers
-	if next := quantizeWeight(hb.Workers, hb.QueueDepth); next != w.weight {
-		// The ring is rebuilt only on a quantized weight change, so
-		// ordinary load jitter never moves keys; a genuinely bigger or
-		// drowning worker does.
-		w.weight = next
-		f.rebuildRingLocked()
-		f.log.Info("fleet worker weight changed",
-			"worker", w.addr, "weight", next, "capacity", hb.Workers,
-			"queue_depth", hb.QueueDepth)
-	}
-}
-
-// quantizeWeight derives a ring weight from a worker's heartbeat: its
-// pool size, clamped to [MinWeight, MaxWeight], halved while its queue
-// is more than twice oversubscribed so a drowning worker sheds key
-// space until it drains.
-func quantizeWeight(capacity, queueDepth int) int {
-	w := capacity
-	if w < MinWeight {
-		w = MinWeight
-	}
-	if w > MaxWeight {
-		w = MaxWeight
-	}
-	if capacity > 0 && queueDepth > 2*capacity {
-		if w /= 2; w < MinWeight {
-			w = MinWeight
-		}
-	}
-	return w
 }
 
 // ReportSuccess records a successful dispatch round-trip to addr: as
@@ -173,7 +142,7 @@ func (f *Fleet) ReportFailure(addr string, err error) {
 
 // reviveLocked credits w with one success; caller holds f.mu. An alive
 // worker just refreshes its beat. A suspect/dead worker must bank
-// ReviveAfter consecutive successes before it re-enters the ring —
+// reviveAfter consecutive successes before it re-enters the ring —
 // flap damping: a link that alternates one good probe with one bad
 // never revives, so it cannot thrash ownership back and forth. Each
 // suppressed revival is counted; a miss resets the bank.
@@ -185,14 +154,14 @@ func (f *Fleet) reviveLocked(w *workerHealth) {
 		return
 	}
 	w.revives++
-	if w.revives < f.cfg.ReviveAfter {
+	if w.revives < reviveAfter {
 		f.rec.Counter("fleet_flaps_suppressed_total").Inc()
 		// Keep probing a dead worker every tick while it is answering:
 		// the reconnect backoff is for workers that stay silent.
 		w.nextProbe = time.Time{}
 		f.log.Debug("fleet worker revival suppressed",
 			"worker", w.addr, "state", w.state,
-			"consecutive_successes", w.revives, "need", f.cfg.ReviveAfter)
+			"consecutive_successes", w.revives, "need", reviveAfter)
 		return
 	}
 	prev := w.state
@@ -212,7 +181,7 @@ func (f *Fleet) missLocked(w *workerHealth, err error) {
 	switch {
 	case w.misses >= f.cfg.DeadAfter:
 		w.state = StateDead
-	case w.misses >= f.cfg.SuspectAfter:
+	case w.misses >= suspectAfter:
 		if w.state != StateDead {
 			w.state = StateSuspect
 		}

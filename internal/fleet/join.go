@@ -25,6 +25,10 @@ import (
 // the first successful join.
 const AnnounceInterval = 15 * time.Second
 
+// maxJoinBody caps a join request body; the real one is a few dozen
+// bytes.
+const maxJoinBody = 4 << 10
+
 // joinRequest is the worker→coordinator registration body.
 type joinRequest struct {
 	Advertise string `json:"advertise"`
@@ -33,22 +37,29 @@ type joinRequest struct {
 // NewCoordinatorHandler wraps the coordinator's API with the
 // fleet-internal join endpoint:
 //
-//	POST /internal/v1/join  register an announcing worker; idempotent
+//	POST /internal/v1/join  register an announcing worker; idempotent.
+//	                        400 when advertise is not a CanonicalURL
+//	                        base URL (nothing is admitted or journaled)
 //
 // Everything else falls through to api.
 func NewCoordinatorHandler(api http.Handler, fl *Fleet) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /internal/v1/join", func(w http.ResponseWriter, r *http.Request) {
 		var jr joinRequest
-		if err := json.NewDecoder(r.Body).Decode(&jr); err != nil || jr.Advertise == "" {
-			http.Error(w, `{"error":"join body must carry advertise"}`, http.StatusBadRequest)
+		added := false
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJoinBody)).Decode(&jr)
+		if err == nil {
+			added, err = fl.AddWorker(jr.Advertise)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 			return
 		}
-		added := fl.AddWorker(jr.Advertise)
 		fl.mu.Lock()
 		members := fl.ring.Members()
 		fl.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
 			"joined":  added,
 			"members": members,

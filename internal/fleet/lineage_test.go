@@ -23,9 +23,7 @@ import (
 	"repro/internal/server"
 )
 
-// newIncWorker boots a worker with an incremental store. One pool slot
-// keeps its ring weight at 1 from the start, so heartbeats never
-// rebuild the ring under the test.
+// newIncWorker boots a worker with an incremental store.
 func newIncWorker(t *testing.T, mutate func(*server.Config)) *httptest.Server {
 	t.Helper()
 	rec := obs.NewRecorder()
@@ -33,7 +31,7 @@ func newIncWorker(t *testing.T, mutate func(*server.Config)) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := jobs.New(jobs.Config{Workers: 1, QueueSize: 32, Recorder: rec})
+	pool := jobs.New(jobs.Config{Workers: 2, QueueSize: 32, Recorder: rec})
 	wk := NewWorker(WorkerConfig{Recorder: rec})
 	cfg := server.Config{
 		Pool:     pool,

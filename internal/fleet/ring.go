@@ -1,5 +1,5 @@
 // Consistent-hash ring: the fleet's routing function. Every worker
-// contributes Replicas virtual nodes (points on a 64-bit circle hashed
+// contributes 128 virtual nodes (points on a 64-bit circle hashed
 // from "addr#i"); a scan's routing key (its plugin lineage, or its
 // content digest when unnamed) is hashed onto the circle and owned by
 // the first virtual node clockwise from it. Two properties make this
@@ -14,9 +14,11 @@
 //     membership change does not flush the fleet's caches.
 //
 // Liveness is layered on top, not baked in: the ring always contains
-// every configured member, and OwnerWhere walks clockwise past members
+// every configured member, and OwnersWhere walks clockwise past members
 // the caller reports unusable. A dead worker's keys thus spill to the
-// next owner and return home the moment it revives.
+// next owner and return home the moment it revives. Load does not
+// enter ownership either: moving a lineage costs its incremental
+// artifacts, so a busy worker keeps its keys.
 
 package fleet
 
@@ -27,18 +29,9 @@ import (
 	"strconv"
 )
 
-// DefaultReplicas is the virtual-node count per member (at weight 1)
-// when the config leaves it unset: enough points that 10k keys spread
-// within a few percent of fair share across 16 workers.
-const DefaultReplicas = 128
-
-// Weight bounds for load-aware vnode scaling. A member's vnode count is
-// replicas * weight; clamping keeps one beefy worker from absorbing the
-// whole key space and keeps every member with at least one vnode.
-const (
-	MinWeight = 1
-	MaxWeight = 8
-)
+// replicas is the virtual-node count per member: enough points that
+// 10k keys spread within a few percent of fair share across 16 workers.
+const replicas = 128
 
 // ringPoint is one virtual node: a position on the hash circle and the
 // member it belongs to.
@@ -48,33 +41,16 @@ type ringPoint struct {
 }
 
 // Ring is an immutable consistent-hash ring over a member set. Build
-// with NewRing or NewWeightedRing; all methods are safe for concurrent
-// use.
+// with NewRing; all methods are safe for concurrent use.
 type Ring struct {
 	points  []ringPoint
 	members []string
 }
 
-// NewRing builds a ring over members with replicas virtual nodes each
-// (DefaultReplicas when non-positive). Duplicate members are folded;
-// member order does not affect ownership.
-func NewRing(members []string, replicas int) *Ring {
-	return NewWeightedRing(members, replicas, nil)
-}
-
-// NewWeightedRing builds a ring where each member contributes
-// replicas * weight(member) virtual nodes. Weights are clamped to
-// [MinWeight, MaxWeight] (a nil weight function, or one returning <= 0,
-// means weight 1), so a worker reporting more capacity owns a
-// proportionally larger — but bounded — key-space share. Because a
-// member's vnodes at weight w are the prefix of its vnodes at weight
-// w+1, raising a weight only pulls keys toward that member and lowering
-// it only sheds them: a weight change never shuffles keys between two
-// unrelated members.
-func NewWeightedRing(members []string, replicas int, weight func(member string) int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+// NewRing builds a ring over members with replicas virtual nodes each.
+// Duplicate and empty members are folded; member order does not affect
+// ownership.
+func NewRing(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -90,16 +66,7 @@ func NewWeightedRing(members []string, replicas int, weight func(member string) 
 		members: uniq,
 	}
 	for _, m := range uniq {
-		w := MinWeight
-		if weight != nil {
-			if got := weight(m); got > w {
-				w = got
-			}
-		}
-		if w > MaxWeight {
-			w = MaxWeight
-		}
-		for i := 0; i < replicas*w; i++ {
+		for i := 0; i < replicas; i++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(m, i), member: m})
 		}
 	}
@@ -119,22 +86,6 @@ func (r *Ring) Members() []string {
 	out := make([]string, len(r.members))
 	copy(out, r.members)
 	return out
-}
-
-// Owner returns the member owning key (false only on an empty ring).
-func (r *Ring) Owner(key string) (string, bool) {
-	return r.OwnerWhere(key, nil)
-}
-
-// OwnerWhere returns the first member clockwise from key's position
-// that usable reports true for (a nil usable accepts every member).
-// It returns false when no member qualifies.
-func (r *Ring) OwnerWhere(key string, usable func(member string) bool) (string, bool) {
-	owners := r.OwnersWhere(key, 1, usable)
-	if len(owners) == 0 {
-		return "", false
-	}
-	return owners[0], true
 }
 
 // OwnersWhere returns up to n distinct usable members in clockwise

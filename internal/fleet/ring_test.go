@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
+
+	"repro/internal/corpus"
 )
 
 // ringKeys generates n distinct digest-like keys.
@@ -12,6 +15,14 @@ func ringKeys(n int) []string {
 		keys[i] = fmt.Sprintf("sha256:%064x", i)
 	}
 	return keys
+}
+
+// owner returns key's owner on r ("" on an empty ring).
+func owner(r *Ring, key string) string {
+	if o := r.OwnersWhere(key, 1, nil); len(o) == 1 {
+		return o[0]
+	}
+	return ""
 }
 
 func ringMembers(n int) []string {
@@ -29,14 +40,14 @@ func ringMembers(n int) []string {
 func TestRingUniformDistribution(t *testing.T) {
 	keys := ringKeys(10000)
 	for n := 2; n <= 16; n++ {
-		r := NewRing(ringMembers(n), 0)
+		r := NewRing(ringMembers(n))
 		counts := make(map[string]int, n)
 		for _, k := range keys {
-			owner, ok := r.Owner(k)
-			if !ok {
+			o := owner(r, k)
+			if o == "" {
 				t.Fatalf("n=%d: no owner for %s", n, k)
 			}
-			counts[owner]++
+			counts[o]++
 		}
 		if len(counts) != n {
 			t.Fatalf("n=%d: only %d members own keys", n, len(counts))
@@ -56,13 +67,13 @@ func TestRingUniformDistribution(t *testing.T) {
 func TestRingMinimalRemapOnJoin(t *testing.T) {
 	keys := ringKeys(10000)
 	for n := 2; n <= 16; n++ {
-		before := NewRing(ringMembers(n), 0)
-		after := NewRing(ringMembers(n+1), 0)
+		before := NewRing(ringMembers(n))
+		after := NewRing(ringMembers(n + 1))
 		joined := ringMembers(n + 1)[n]
 		moved := 0
 		for _, k := range keys {
-			ob, _ := before.Owner(k)
-			oa, _ := after.Owner(k)
+			ob := owner(before, k)
+			oa := owner(after, k)
 			if ob == oa {
 				continue
 			}
@@ -84,12 +95,12 @@ func TestRingMinimalRemapOnLeave(t *testing.T) {
 	keys := ringKeys(10000)
 	for n := 3; n <= 16; n++ {
 		members := ringMembers(n)
-		before := NewRing(members, 0)
-		after := NewRing(members[:n-1], 0)
+		before := NewRing(members)
+		after := NewRing(members[:n-1])
 		left := members[n-1]
 		for _, k := range keys {
-			ob, _ := before.Owner(k)
-			oa, _ := after.Owner(k)
+			ob := owner(before, k)
+			oa := owner(after, k)
 			if ob != left && ob != oa {
 				t.Fatalf("n=%d: key %s owned by survivor %s moved to %s on leave of %s", n, k, ob, oa, left)
 			}
@@ -102,13 +113,13 @@ func TestRingMinimalRemapOnLeave(t *testing.T) {
 func TestRingDeterministicOwnership(t *testing.T) {
 	members := ringMembers(5)
 	shuffled := []string{members[3], members[0], members[4], members[2], members[1]}
-	a := NewRing(members, 0)
-	b := NewRing(shuffled, 0)
-	c := NewRing(members, 0)
+	a := NewRing(members)
+	b := NewRing(shuffled)
+	c := NewRing(members)
 	for _, k := range ringKeys(1000) {
-		oa, _ := a.Owner(k)
-		ob, _ := b.Owner(k)
-		oc, _ := c.Owner(k)
+		oa := owner(a, k)
+		ob := owner(b, k)
+		oc := owner(c, k)
 		if oa != ob || oa != oc {
 			t.Fatalf("key %s: owners diverge across identical member sets: %s / %s / %s", k, oa, ob, oc)
 		}
@@ -117,38 +128,71 @@ func TestRingDeterministicOwnership(t *testing.T) {
 
 // TestRingOwnerWhere: a dead owner's keys fall to the next member
 // clockwise, deterministically, and return when it revives; with no
-// usable member OwnerWhere reports failure.
+// usable member OwnersWhere reports nothing.
 func TestRingOwnerWhere(t *testing.T) {
 	members := ringMembers(4)
-	r := NewRing(members, 0)
+	r := NewRing(members)
+	notHome := func(home string) func(string) bool {
+		return func(m string) bool { return m != home }
+	}
 	for _, k := range ringKeys(500) {
-		home, _ := r.Owner(k)
-		fallback1, ok := r.OwnerWhere(k, func(m string) bool { return m != home })
-		if !ok || fallback1 == home {
+		home := owner(r, k)
+		fallback1 := r.OwnersWhere(k, 1, notHome(home))
+		if len(fallback1) != 1 || fallback1[0] == home {
 			t.Fatalf("key %s: no fallback owner past %s", k, home)
 		}
-		fallback2, ok := r.OwnerWhere(k, func(m string) bool { return m != home })
-		if !ok || fallback2 != fallback1 {
-			t.Fatalf("key %s: fallback not deterministic: %s vs %s", k, fallback1, fallback2)
+		fallback2 := r.OwnersWhere(k, 1, notHome(home))
+		if len(fallback2) != 1 || fallback2[0] != fallback1[0] {
+			t.Fatalf("key %s: fallback not deterministic: %v vs %v", k, fallback1, fallback2)
 		}
-		back, _ := r.OwnerWhere(k, nil)
-		if back != home {
+		if back := owner(r, k); back != home {
 			t.Fatalf("key %s: ownership did not return home after revival", k)
 		}
 	}
-	if _, ok := r.OwnerWhere("any", func(string) bool { return false }); ok {
-		t.Fatal("OwnerWhere found an owner with every member unusable")
+	if got := r.OwnersWhere("any", 1, func(string) bool { return false }); len(got) != 0 {
+		t.Fatalf("OwnersWhere found owners %v with every member unusable", got)
 	}
 }
 
 // TestRingEmptyAndDuplicates: an empty ring owns nothing; duplicate
 // and empty member entries are folded.
 func TestRingEmptyAndDuplicates(t *testing.T) {
-	if _, ok := NewRing(nil, 0).Owner("k"); ok {
+	if o := owner(NewRing(nil), "k"); o != "" {
 		t.Fatal("empty ring returned an owner")
 	}
-	r := NewRing([]string{"a", "", "a", "b", "b"}, 16)
+	r := NewRing([]string{"a", "", "a", "b", "b"})
 	if got := r.Members(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Members() = %v, want [a b]", got)
+	}
+}
+
+// pinnedOwnershipDigest is the SHA-256 of TestRingOwnershipPinned's
+// "key=owner" lines. A change to it moves plugins off the workers that
+// hold their incremental artifacts when a coordinator is upgraded.
+const pinnedOwnershipDigest = "663e785b10e4c46dc9a759a8b36995069f5477ccd25925f83fac08a8a4957c6c"
+
+// TestRingOwnershipPinned: over two fixed members, the owners of the
+// paper corpus's 35 plugin lineages (in the form the server routes
+// them by) and of 1,000 synthetic digests hash to the pinned digest.
+func TestRingOwnershipPinned(t *testing.T) {
+	v2012, _, err := corpus.Generate(corpus.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, tg := range v2012.Targets {
+		keys = append(keys, "lineage|phpsafe|wordpress|"+tg.Name)
+	}
+	if len(keys) != 35 {
+		t.Fatalf("corpus has %d plugins, want 35", len(keys))
+	}
+	keys = append(keys, ringKeys(1000)...)
+	r := NewRing(ringMembers(2))
+	h := sha256.New()
+	for _, k := range keys {
+		fmt.Fprintf(h, "%s=%s\n", k, owner(r, k))
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != pinnedOwnershipDigest {
+		t.Fatalf("ownership digest = %s, want %s: routing keys moved between workers", got, pinnedOwnershipDigest)
 	}
 }

@@ -1,13 +1,14 @@
 package fleet
 
-// Robustness-layer unit and integration tests: load-aware ring
-// weighting, flap damping, hedged dispatch, coordinator adoption of
-// in-flight worker scans, membership churn under load, worker
-// auto-registration, and the journaled member set.
+// Robustness-layer unit and integration tests: flap damping, hedged
+// dispatch, coordinator adoption of in-flight worker scans, membership
+// churn under load, worker auto-registration, and the journaled member
+// set.
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -32,99 +33,50 @@ func quietTestLogger() *slog.Logger {
 }
 
 // ---------------------------------------------------------------------------
-// Weighted ring.
+// Load-independent ownership.
 
-func TestWeightedRingProportionalOwnership(t *testing.T) {
+// TestHeartbeatLoadNeverMovesALineage: heartbeats report pool size and
+// queue depth, and neither moves any key's owner — a queue spike and
+// its drain leave every plugin on the worker that holds its artifacts.
+func TestHeartbeatLoadNeverMovesALineage(t *testing.T) {
 	t.Parallel()
-	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-	weights := map[string]int{"http://a:1": 4}
-	r := NewWeightedRing(members, 64, func(m string) int { return weights[m] })
-
-	counts := map[string]int{}
-	for i := 0; i < 6000; i++ {
-		owner, ok := r.Owner("key-" + string(rune('a'+i%26)) + "-" + time.Duration(i).String())
-		if !ok {
-			t.Fatal("weighted ring reported empty")
+	members := []string{"http://a:1", "http://b:1"}
+	fl := New(Config{Workers: members, Recorder: obs.NewRecorder()})
+	owners := func() []string {
+		fl.mu.Lock()
+		defer fl.mu.Unlock()
+		out := make([]string, 1000)
+		for i := range out {
+			out[i] = fl.ring.OwnersWhere(fmt.Sprintf("lineage|phpsafe|wordpress|plugin-%04d", i), 1, nil)[0]
 		}
-		counts[owner]++
+		return out
 	}
-	// a holds weight 4 of a 4+1+1 total: ~2/3 of the key space.
-	share := float64(counts["http://a:1"]) / 6000
-	if share < 0.5 || share > 0.8 {
-		t.Errorf("weight-4 member owns %.2f of keys, want ~0.67 (counts %v)", share, counts)
-	}
-	for _, m := range members[1:] {
-		if counts[m] == 0 {
-			t.Errorf("weight-1 member %s owns no keys", m)
+	before := owners()
+	for _, hb := range []heartbeatPayload{{Workers: 4, QueueDepth: 100}, {Workers: 4, QueueDepth: 0}} {
+		for _, m := range members {
+			fl.settleProbe(m, &hb, nil)
 		}
-	}
-}
-
-func TestWeightedRingClampAndMonotonicity(t *testing.T) {
-	t.Parallel()
-	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-
-	// Clamping: an absurd weight behaves exactly like MaxWeight.
-	huge := NewWeightedRing(members, 32, func(m string) int {
-		if m == "http://a:1" {
-			return 100
-		}
-		return 1
-	})
-	capped := NewWeightedRing(members, 32, func(m string) int {
-		if m == "http://a:1" {
-			return MaxWeight
-		}
-		return 1
-	})
-	// Monotonicity: raising one member's weight only pulls keys toward
-	// it — no key moves between two unrelated members.
-	flat := NewRing(members, 32)
-	boosted := NewWeightedRing(members, 32, func(m string) int {
-		if m == "http://b:1" {
-			return 2
-		}
-		return 1
-	})
-	for i := 0; i < 2000; i++ {
-		key := "digest-" + time.Duration(i*7).String()
-		oh, _ := huge.Owner(key)
-		oc, _ := capped.Owner(key)
-		if oh != oc {
-			t.Fatalf("key %s: weight-100 ring owner %s != weight-%d ring owner %s", key, oh, MaxWeight, oc)
-		}
-		of, _ := flat.Owner(key)
-		ob, _ := boosted.Owner(key)
-		if of != ob && ob != "http://b:1" {
-			t.Fatalf("key %s moved %s -> %s when only b's weight rose", key, of, ob)
+		after := owners()
+		for i := range before {
+			if after[i] != before[i] {
+				t.Fatalf("heartbeat %+v moved lineage %d: %s -> %s", hb, i, before[i], after[i])
+			}
 		}
 	}
-}
-
-func TestQuantizeWeight(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		capacity, queueDepth, want int
-	}{
-		{0, 0, MinWeight},       // unknown capacity floors at MinWeight
-		{4, 0, 4},               // idle: weight = pool size
-		{16, 0, MaxWeight},      // big pool clamps at MaxWeight
-		{4, 8, 4},               // exactly 2x oversubscribed: not yet shedding
-		{4, 9, 2},               // >2x oversubscribed: halve
-		{1, 5, MinWeight},       // halving never drops below MinWeight
-		{20, 50, MaxWeight / 2}, // clamp first, then shed
+	status, _ := fl.Status()
+	raw, err := json.Marshal(status)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := quantizeWeight(c.capacity, c.queueDepth); got != c.want {
-			t.Errorf("quantizeWeight(%d, %d) = %d, want %d", c.capacity, c.queueDepth, got, c.want)
-		}
+	if strings.Contains(string(raw), `"weight"`) {
+		t.Errorf("Status() still reports a weight: %s", raw)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Flap damping.
 
-// TestFleetFlapDamping: a dead worker must answer ReviveAfter
+// TestFleetFlapDamping: a dead worker must answer reviveAfter
 // consecutive probes before re-entering the ring; a single good packet
 // on a flapping link keeps it out and bumps the suppression counter.
 func TestFleetFlapDamping(t *testing.T) {
@@ -132,7 +84,7 @@ func TestFleetFlapDamping(t *testing.T) {
 	rec := obs.NewRecorder()
 	addr := "http://flappy:1"
 	fl := New(Config{
-		Workers: []string{addr}, SuspectAfter: 1, DeadAfter: 3, ReviveAfter: 2,
+		Workers: []string{addr}, DeadAfter: 3,
 		Recorder: rec,
 	})
 	state := func() string {
@@ -236,7 +188,6 @@ func newHedgeCoordinator(t *testing.T, workerURLs []string, hedgeDelay time.Dura
 	fl := New(Config{
 		Workers:           workerURLs,
 		HeartbeatInterval: 50 * time.Millisecond,
-		SuspectAfter:      1,
 		DeadAfter:         2,
 		HedgeDelay:        hedgeDelay,
 		ReconnectBackoff:  jobs.RetryPolicy{Base: 20 * time.Millisecond, Cap: 100 * time.Millisecond},
@@ -454,9 +405,7 @@ func TestFleetMembershipChurnUnderLoad(t *testing.T) {
 	fl := New(Config{
 		Workers:           []string{w1.URL},
 		HeartbeatInterval: 40 * time.Millisecond,
-		SuspectAfter:      1,
 		DeadAfter:         2,
-		ReviveAfter:       2,
 		ReconnectBackoff:  jobs.RetryPolicy{Base: 20 * time.Millisecond, Cap: 100 * time.Millisecond},
 		Recorder:          rec,
 	})
@@ -592,6 +541,60 @@ func TestAnnounceRetriesUntilCoordinatorUp(t *testing.T) {
 	}
 }
 
+// TestJoinCanonicalizesAdvertise: a worker announcing with a trailing
+// slash is the configured member, not a second one; an advertise that
+// is not a base URL is refused with 400 and nothing is journaled.
+func TestJoinCanonicalizesAdvertise(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	jrnl, _, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	fl := New(Config{Workers: []string{"http://w:1"}, Journal: jrnl, Recorder: rec})
+	defer fl.Stop()
+	coord := httptest.NewServer(NewCoordinatorHandler(http.NotFoundHandler(), fl))
+	defer coord.Close()
+	join := func(advertise string) (int, map[string]any) {
+		raw, _ := json.Marshal(joinRequest{Advertise: advertise})
+		resp, err := http.Post(coord.URL+"/internal/v1/join", "application/json", strings.NewReader(string(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("join %q: undecodable answer: %v", advertise, err)
+		}
+		return resp.StatusCode, body
+	}
+
+	code, body := join("http://w:1/")
+	if code != http.StatusOK || body["joined"] != false || fmt.Sprint(body["members"]) != "[http://w:1]" {
+		t.Fatalf("join http://w:1/ = %d %v, want 200 joined:false members [http://w:1]", code, body)
+	}
+	for _, bad := range []string{"", "ftp://x", "http://w:1/x"} {
+		if code, body := join(bad); code != http.StatusBadRequest {
+			t.Errorf("join %q = %d %v, want 400", bad, code, body)
+		}
+	}
+	if got := rec.Counter("fleet_joins_total").Value(); got != 0 {
+		t.Errorf("fleet_joins_total = %d, want 0", got)
+	}
+	if err := jrnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, records, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if members := MembersFromRecords(records); len(members) != 0 {
+		t.Errorf("journaled members = %v, want none", members)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Journaled membership.
 
@@ -608,10 +611,10 @@ func TestMemberJournalRoundTrip(t *testing.T) {
 	}
 	rec := obs.NewRecorder()
 	fl := New(Config{Journal: jrnl, Recorder: rec})
-	if !fl.AddWorker("http://joined:1") {
+	if added, err := fl.AddWorker("http://joined:1"); err != nil || !added {
 		t.Fatal("AddWorker reported an existing member for a fresh address")
 	}
-	if fl.AddWorker("http://joined:1") {
+	if added, err := fl.AddWorker("http://joined:1"); err != nil || added {
 		t.Fatal("re-announcement reported as a new member")
 	}
 	fl.Stop()

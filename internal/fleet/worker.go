@@ -308,7 +308,8 @@ func (wk *Worker) note(wire *dispatchWire, id string, status int, isNew bool) {
 }
 
 // handleHeartbeat reports liveness and load for the coordinator's
-// monitor; Workers (the pool size) is the basis of the ring weight.
+// monitor. Load never moves ring ownership; the coordinator only
+// reports it on /readyz.
 func (wk *Worker) handleHeartbeat(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(heartbeatPayload{

@@ -385,6 +385,13 @@ func TestSlowScanLogsTimeline(t *testing.T) {
 	})
 	_, sc := e.submitJSON(t, traceSubmission("slow-plugin", "steady")) // 50ms > 40ms
 	waitScanEvent(t, e.rec, sc.ID, evSettled)
+	// The settled event is appended before the slow-scan check runs;
+	// wait for the settle path to finish writing its log lines.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if strings.Contains(logBuf.String(), `"msg":"slow scan"`) {
+			break
+		}
+	}
 
 	if got := e.rec.Snapshot().Counters["scans_slow_total"]; got != 1 {
 		t.Errorf("scans_slow_total = %d, want 1", got)
