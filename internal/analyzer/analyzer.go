@@ -9,6 +9,8 @@ package analyzer
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -411,6 +413,27 @@ type SourceFile struct {
 	Path string
 	// Content is the PHP source text.
 	Content string
+	// Hash is the content's address (HashContent), set once at intake
+	// by Target.HashFiles; the result cache key, the incremental
+	// planner and the scan journal all read it. Empty means not yet
+	// hashed.
+	Hash string
+}
+
+// HashContent returns the hex SHA-256 of a file's content: the address
+// under which the daemon caches, plans and journals it.
+func HashContent(content string) string {
+	sum := sha256.Sum256([]byte(content))
+	return hex.EncodeToString(sum[:])
+}
+
+// Digest returns the file's content address: Hash when intake set it,
+// otherwise computed from the content.
+func (f *SourceFile) Digest() string {
+	if f.Hash != "" {
+		return f.Hash
+	}
+	return HashContent(f.Content)
 }
 
 // Target is one analyzable unit: a plugin with its files.
@@ -419,6 +442,17 @@ type Target struct {
 	Name string
 	// Files are the plugin's PHP files.
 	Files []SourceFile
+}
+
+// HashFiles sets Hash on every file that lacks it, so each file's
+// content is hashed once per process however many layers read its
+// address.
+func (t *Target) HashFiles() {
+	for i := range t.Files {
+		if t.Files[i].Hash == "" {
+			t.Files[i].Hash = HashContent(t.Files[i].Content)
+		}
+	}
 }
 
 // Lines returns the total number of source lines across all files.

@@ -20,7 +20,8 @@ type plan struct {
 	keys, hashes map[string]string
 }
 
-// buildPlan hashes the target and collects its AST-cache hits. It
+// buildPlan reads the target's content addresses and collects its
+// AST-cache hits. It
 // returns the plan and the engine seed that fills it in: the engine
 // parses the cache misses in its own parse stage and hands every AST to
 // the seed's Plan callback, which caches the fresh ASTs when that parse
@@ -34,7 +35,7 @@ func buildPlan(store *Store, eng *taint.Engine, fingerprint string, target *anal
 	depth := opts.EffectiveMaxParseDepth()
 	hits := make(map[string]*phpast.File, len(target.Files))
 	for _, sf := range target.Files {
-		p.hashes[sf.Path] = HashFile(sf.Content)
+		p.hashes[sf.Path] = sf.Digest()
 		if f, ok := store.AST(sf.Path, p.hashes[sf.Path], depth); ok {
 			hits[sf.Path] = f
 		}

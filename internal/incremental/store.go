@@ -78,12 +78,6 @@ func NewStore(dir string, rec *obs.Recorder) (*Store, error) {
 	}, nil
 }
 
-// HashFile returns the hex SHA-256 of a file's content.
-func HashFile(content string) string {
-	sum := sha256.Sum256([]byte(content))
-	return hex.EncodeToString(sum[:])
-}
-
 // astKey addresses a parsed AST by path, content hash and parse-depth
 // budget: the parser records the path inside the File, so identical
 // content under two paths still parses twice, and the depth budget

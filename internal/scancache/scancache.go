@@ -29,12 +29,14 @@ import (
 const DefaultMaxBytes = 256 << 20
 
 // Key returns the content address of one scan: the SHA-256 of the
-// tool/config fingerprint and the target's file set. Every field is
-// length-prefixed and files are hashed in sorted path order, so the
-// same content always hashes identically regardless of upload or walk
-// order, while any change to a path, a file body or the fingerprint
-// produces a new key. The target's display name is deliberately
-// excluded: renaming a plugin does not change its scan result.
+// tool/config fingerprint and the target's (path, content hash) pairs.
+// Every field is length-prefixed and files are hashed in sorted path
+// order, so the same content always hashes identically regardless of
+// upload or walk order, while any change to a path, a file body or the
+// fingerprint produces a new key. File bodies enter through their
+// addresses (SourceFile.Digest), so a target hashed at intake is not
+// read again here. The target's display name is deliberately excluded:
+// renaming a plugin does not change its scan result.
 func Key(t *analyzer.Target, fingerprint string) string {
 	h := sha256.New()
 	writeField := func(s string) {
@@ -48,7 +50,7 @@ func Key(t *analyzer.Target, fingerprint string) string {
 	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
 	for _, f := range files {
 		writeField(f.Path)
-		writeField(f.Content)
+		writeField(f.Digest())
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

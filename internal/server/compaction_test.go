@@ -54,7 +54,7 @@ func TestGrowingRegistryNeverCompacts(t *testing.T) {
 		_, sc := e.submitJSON(t, submission(fmt.Sprintf("grow%d", i)))
 		e.wait(t, sc.ID)
 	}
-	e.waitAppends(t, 3*12)
+	e.waitAppends(t, 1+3*12) // one shared blob, then three records per scan
 	// Only attempt records are garbage, and they never outweigh the
 	// registry they describe.
 	if n := e.counter("journal_compactions_total"); n != 0 {
@@ -148,23 +148,27 @@ func TestHealthzJournalBytesMove(t *testing.T) {
 		t.Fatalf("fresh journal health = %+v, want zeros", h)
 	}
 
-	// Submitting moves live: the accepted record lands before the 202.
+	// Submitting moves live: the accepted record and its blob land
+	// before the 202.
 	_, first := e.submitJSON(t, submission("health-first"))
 	if h := health(); h.Live == 0 {
 		t.Errorf("live_bytes after submit = 0")
 	}
 	e.wait(t, first.ID)
-	e.waitAppends(t, 3)
+	e.waitAppends(t, 4) // blob, accepted, started, completed
 	before := health()
 
 	// Evicting the first scan (MaxScans 1) moves its bytes to garbage.
-	_, second := e.submitJSON(t, submission("health-second"))
+	// The second scan shares no content with it: a shared blob would
+	// stay live.
+	_, second := e.submitJSON(t, submissionFiles("health-second",
+		map[string]string{"health-second.php": vulnerablePHP + "// second\n"}))
 	after := health()
 	if after.Garbage < before.Garbage+before.Live {
 		t.Errorf("garbage_bytes after eviction = %d, want >= %d + %d", after.Garbage, before.Garbage, before.Live)
 	}
 	e.wait(t, second.ID)
-	e.waitAppends(t, 6)
+	e.waitAppends(t, 8)
 
 	// Compaction zeroes garbage.
 	e.srv.CompactJournal()

@@ -20,27 +20,19 @@ import (
 	"repro/internal/obs"
 )
 
-// filePayload is one source file in a journaled submission. The wire
-// tags are explicit (analyzer.SourceFile has none) so the journal
-// format stays stable even if the in-memory type grows fields. Content
-// is []byte (base64 on the wire): zip submissions may carry non-UTF-8
-// source, which a JSON string would silently mangle into U+FFFD —
-// replay would then re-run the scan on corrupted bytes and seed the
-// wrong result under the original content key.
-type filePayload struct {
-	Path    string `json:"path"`
-	Content []byte `json:"content"`
-}
-
 // submissionPayload is the accepted record's payload: everything
-// needed to re-create and re-run the scan after a crash.
+// needed to re-create and re-run the scan after a crash. Files name
+// each source file by path and content address; the content itself is
+// in the blob records the accepted record references, as raw bytes
+// (base64 in JSON), because zip submissions may carry non-UTF-8 source
+// that a JSON string would mangle into U+FFFD.
 type submissionPayload struct {
 	Name    string                `json:"name"`
 	Tool    string                `json:"tool"`
 	Profile string                `json:"profile"`
 	Key     string                `json:"key"`
 	Created time.Time             `json:"created"`
-	Files   []filePayload         `json:"files"`
+	Files   []durable.FileRef     `json:"files"`
 	Opts    *analyzer.ScanOptions `json:"opts,omitempty"`
 }
 
@@ -56,20 +48,25 @@ type resultPayload struct {
 	Error  string              `json:"error,omitempty"`
 }
 
-// acceptedRecord builds the submission record for sc. Marshalling the
-// payload cannot fail (every field round-trips JSON); an impossible
-// failure journals an empty payload rather than nothing.
-func (s *Server) acceptedRecord(sc *scan) durable.Record {
-	p := submissionPayload{
+// acceptedRecord builds the submission record for sc and the blob
+// records its content needs, skipping addresses already in seen (see
+// durable.FileBlobs). Marshalling the payload cannot fail (every field
+// round-trips JSON); an impossible failure journals an empty payload
+// rather than nothing.
+func (s *Server) acceptedRecord(sc *scan, seen map[string]bool) (blobs []durable.Record, rec durable.Record) {
+	blobs, refs, addrs := durable.FileBlobs(sc.Target.Files, seen)
+	raw, _ := json.Marshal(submissionPayload{
 		Name: sc.Target.Name, Tool: sc.Tool, Profile: sc.Profile,
-		Key: sc.Key, Created: sc.Created, Opts: sc.Opts,
-		Files: make([]filePayload, 0, len(sc.Target.Files)),
-	}
-	for _, f := range sc.Target.Files {
-		p.Files = append(p.Files, filePayload{Path: f.Path, Content: []byte(f.Content)})
-	}
-	raw, _ := json.Marshal(p)
-	return durable.Record{Type: durable.RecAccepted, ScanID: sc.ID, Payload: raw}
+		Key: sc.Key, Created: sc.Created, Opts: sc.Opts, Files: refs,
+	})
+	return blobs, durable.Record{Type: durable.RecAccepted, ScanID: sc.ID, Refs: addrs, Payload: raw}
+}
+
+// journalAcceptedLocked journals sc's acceptance: its new blobs, then its
+// accepted record, in one append. Caller holds s.journalMu.
+func (s *Server) journalAcceptedLocked(sc *scan) {
+	blobs, rec := s.acceptedRecord(sc, nil)
+	s.journalLocked(append(blobs, rec)...)
 }
 
 // resultPayloadLocked marshals sc's settled outcome; caller holds s.mu.
@@ -93,18 +90,22 @@ func (s *Server) journal(r durable.Record) {
 	s.journalMu.Unlock()
 }
 
-// journalLocked appends one record; caller holds s.journalMu. Records
-// are stamped from the server's clock so journaled times agree with
-// the flight recorder (and stay deterministic under a manual clock).
-func (s *Server) journalLocked(r durable.Record) {
+// journalLocked appends records in one batch; caller holds
+// s.journalMu. Records are stamped from the server's clock so
+// journaled times agree with the flight recorder (and stay
+// deterministic under a manual clock).
+func (s *Server) journalLocked(recs ...durable.Record) {
 	if s.cfg.Journal == nil {
 		return
 	}
-	if r.Time.IsZero() {
-		r.Time = s.now()
+	now := s.now()
+	for i := range recs {
+		if recs[i].Time.IsZero() {
+			recs[i].Time = now
+		}
 	}
 	// A failed append is counted by the journal itself.
-	s.cfg.Journal.Append(r)
+	s.cfg.Journal.Append(recs...)
 }
 
 // maybeCompact snapshots the journal once it holds enough garbage
@@ -122,8 +123,9 @@ func (s *Server) maybeCompact() {
 // the WAL. The live set is rebuilt from the registry itself — an
 // accepted record per tracked scan, a final record for settled ones,
 // and an attempt_failed marker preserving an unsettled scan's spent
-// budget — so compaction also garbage-collects records of evicted
-// scans. The journal counts the compaction (or its failure).
+// budget, with every referenced blob once, ahead of the records — so
+// compaction also garbage-collects records and blobs of evicted scans.
+// The journal counts the compaction (or its failure).
 func (s *Server) CompactJournal() {
 	if s.cfg.Journal == nil {
 		return
@@ -132,9 +134,13 @@ func (s *Server) CompactJournal() {
 	defer s.journalMu.Unlock()
 
 	s.mu.Lock()
+	var blobs []durable.Record
+	seen := make(map[string]bool)
 	live := make([]durable.Record, 0, 2*len(s.scans))
 	for _, sc := range s.scans {
-		live = append(live, s.acceptedRecord(sc))
+		scanBlobs, accepted := s.acceptedRecord(sc, seen)
+		blobs = append(blobs, scanBlobs...)
+		live = append(live, accepted)
 		switch sc.State {
 		case stateDone, stateCancelled:
 			// Time carries the original settle time through compaction so
@@ -160,6 +166,7 @@ func (s *Server) CompactJournal() {
 		}
 	}
 	s.mu.Unlock()
+	live = append(blobs, live...)
 
 	if s.cfg.ExtraLiveRecords != nil {
 		live = append(live, s.cfg.ExtraLiveRecords()...)
@@ -186,20 +193,25 @@ func (s *Server) CompactJournal() {
 // unsettled ones are resubmitted with their attempt budget resumed.
 // Call it once, after New and before serving traffic.
 func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quarantined int) {
+	blobs := durable.IndexBlobs(records)
 	for _, st := range durable.Fold(records) {
 		var sub submissionPayload
-		if err := json.Unmarshal(st.Accepted.Payload, &sub); err != nil {
-			// An accepted record we cannot decode is unrecoverable
-			// work; count it rather than guess.
+		err := json.Unmarshal(st.Accepted.Payload, &sub)
+		var files []analyzer.SourceFile
+		if err == nil {
+			files, err = blobs.Files(sub.Files)
+		}
+		if err != nil {
+			// An accepted record we cannot decode, or whose content is
+			// missing or damaged, is unrecoverable work; count it rather
+			// than guess.
 			s.rec.Counter("replay_undecodable_total").Inc()
 			s.log.Error("journal replay: undecodable accepted record",
 				"scan_id", st.ScanID, "error", err.Error())
 			continue
 		}
-		target := &analyzer.Target{Name: sub.Name, Files: make([]analyzer.SourceFile, 0, len(sub.Files))}
-		for _, f := range sub.Files {
-			target.Files = append(target.Files, analyzer.SourceFile{Path: f.Path, Content: string(f.Content)})
-		}
+		target := &analyzer.Target{Name: sub.Name, Files: files}
+		target.HashFiles()
 		sc := &scan{
 			ID: st.ScanID, Tool: sub.Tool, Profile: sub.Profile,
 			Key: sub.Key, Created: sub.Created, Target: target, Opts: sub.Opts,
@@ -269,7 +281,7 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 		sc.queuedAt = s.now()
 		sc.resubmitted = true
 		s.recordEvent(obs.Event{Scan: sc.ID, Type: evAccepted, Time: sc.Created, Detail: sc.Target.Name})
-		engine, err := s.cfg.BuildTool(sc.Tool, sc.Profile, s.rec)
+		engine, _, err := s.engine(sc.Tool, sc.Profile)
 		if err != nil {
 			// The tool that accepted this scan no longer builds
 			// (config drift across the restart): dead-letter it so the
@@ -430,7 +442,7 @@ func (s *Server) handleRetry(w http.ResponseWriter, r *http.Request) {
 	}
 	if sc.Engine == nil {
 		// Quarantined scans rehydrated by replay carry no engine.
-		engine, err := s.cfg.BuildTool(sc.Tool, sc.Profile, s.rec)
+		engine, _, err := s.engine(sc.Tool, sc.Profile)
 		if err != nil {
 			s.mu.Unlock()
 			s.error(w, http.StatusInternalServerError, err.Error())
@@ -455,7 +467,7 @@ func (s *Server) handleRetry(w http.ResponseWriter, r *http.Request) {
 	s.journalMu.Lock()
 	err := s.cfg.Pool.SubmitJob(s.scanJob(sc, 0))
 	if err == nil {
-		s.journalLocked(s.acceptedRecord(sc))
+		s.journalAcceptedLocked(sc)
 	}
 	s.journalMu.Unlock()
 	if err != nil {

@@ -127,7 +127,7 @@ func TestReplayResubmitsUnsettledScanAndResumesBudget(t *testing.T) {
 	payload, _ := json.Marshal(submissionPayload{
 		Name: "interrupted", Tool: "phpsafe", Profile: "wordpress",
 		Key: "replay-test-key", Created: time.Now(),
-		Files: []filePayload{{Path: "interrupted.php", Content: []byte(vulnerablePHP)}},
+		Files: []durable.FileRef{{Path: "interrupted.php", Content: []byte(vulnerablePHP)}},
 	})
 	const id = "replayscan001"
 	for _, r := range []durable.Record{
@@ -174,7 +174,7 @@ func TestJournalPreservesNonUTF8Source(t *testing.T) {
 	payload, err := json.Marshal(submissionPayload{
 		Name: "binary", Tool: "phpsafe", Profile: "wordpress",
 		Key: "bin-key", Created: time.Now(),
-		Files: []filePayload{{Path: "bin.php", Content: []byte(raw)}},
+		Files: []durable.FileRef{{Path: "bin.php", Content: []byte(raw)}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,16 +198,21 @@ func TestJournalPreservesNonUTF8Source(t *testing.T) {
 	if got != raw {
 		t.Errorf("replayed source = %q, want the original bytes %q", got, raw)
 	}
-	// And a freshly journaled acceptance round-trips the same bytes.
-	rec := e.srv.acceptedRecord(&scan{ID: "x", Target: &analyzer.Target{
+	// And a freshly journaled acceptance round-trips the same bytes:
+	// the payload names the file by address, its blob holds the bytes.
+	blobs, rec := e.srv.acceptedRecord(&scan{ID: "x", Target: &analyzer.Target{
 		Name: "x", Files: []analyzer.SourceFile{{Path: "x.php", Content: raw}},
-	}})
+	}}, nil)
 	var sub submissionPayload
 	if err := json.Unmarshal(rec.Payload, &sub); err != nil {
 		t.Fatal(err)
 	}
-	if string(sub.Files[0].Content) != raw {
-		t.Errorf("journaled payload = %q, want %q", sub.Files[0].Content, raw)
+	files, err := durable.IndexBlobs(blobs).Files(sub.Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files[0].Content != raw {
+		t.Errorf("journaled payload = %q, want %q", files[0].Content, raw)
 	}
 }
 

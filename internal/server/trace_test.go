@@ -218,7 +218,7 @@ func TestTraceGolden(t *testing.T) {
 	payload, _ := json.Marshal(submissionPayload{
 		Name: "crashed-plugin", Tool: "phpsafe", Profile: "replay",
 		Key: "trace-replay-key", Created: crashTime,
-		Files: []filePayload{{Path: "crashed-plugin.php", Content: []byte("<?php // crashed-plugin")}},
+		Files: []durable.FileRef{{Path: "crashed-plugin.php", Content: []byte("<?php // crashed-plugin")}},
 	})
 	for _, r := range []durable.Record{
 		{Type: durable.RecAccepted, ScanID: replayID, Payload: payload, Time: crashTime},
