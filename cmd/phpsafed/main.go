@@ -59,12 +59,11 @@
 //	-journal DIR        journal accepted scans to DIR so they survive a
 //	                    crash: on restart the daemon replays the journal,
 //	                    rehydrates finished results and resubmits
-//	                    interrupted scans (off without the flag). For
-//	                    -role=worker the directory holds the dispatch
-//	                    journal instead: in-progress dispatches are
-//	                    recorded so a restarted worker replays its own
-//	                    unfinished attempts and a restarted coordinator
-//	                    can adopt them
+//	                    interrupted scans (off without the flag). Every
+//	                    role keeps the same scan journal; a worker's
+//	                    scans carry the coordinator's scan ids, so a
+//	                    restarted worker resumes the coordinator's scans
+//	                    and a restarted coordinator finds them there
 //	-max-attempts N     attempts per scan before it is quarantined
 //	                    (default 3)
 //	-retry-base D       backoff before a scan's second attempt; doubled
@@ -286,19 +285,6 @@ func run() int {
 			Logger:            logger.With("component", "fleet"),
 		})
 	}
-	var wk *fleet.Worker
-	if *role == "worker" {
-		// The worker's journal is its dispatch journal: in-progress
-		// dispatches recorded for coordinator adoption and worker-side
-		// replay, not scan lifecycle durability (the coordinator owns
-		// that).
-		wk = fleet.NewWorker(fleet.WorkerConfig{
-			Advertise: *advertise,
-			Journal:   journal,
-			Recorder:  rec,
-			Logger:    logger,
-		})
-	}
 	srvCfg := server.Config{
 		Pool:           pool,
 		Cache:          cache,
@@ -314,22 +300,17 @@ func run() int {
 			FileTimeSlice: *fileSlice,
 			FileWorkers:   *fileWorkers,
 		},
+		Journal:           journal,
 		Logger:            logger,
 		SlowScanThreshold: *slowScan,
-	}
-	if *role != "worker" {
-		srvCfg.Journal = journal
 	}
 	if fl != nil {
 		srvCfg.Dispatch = fl.Dispatch
 		srvCfg.FleetStatus = fl.Status
 		srvCfg.ExtraLiveRecords = fl.MemberRecords
 	}
-	if wk != nil {
-		srvCfg.OnSettle = wk.OnSettle
-	}
 	api := server.New(srvCfg)
-	if srvCfg.Journal != nil {
+	if journal != nil {
 		resubmitted, rehydrated, quarantined := api.Replay(replayRecords)
 		if resubmitted+rehydrated+quarantined > 0 {
 			dlog.Info("journal replay finished",
@@ -338,13 +319,9 @@ func run() int {
 	}
 
 	var handler http.Handler = api
-	if wk != nil {
+	if *role == "worker" {
+		wk := fleet.NewWorker(fleet.WorkerConfig{Advertise: *advertise})
 		wk.Bind(api, pool)
-		if journal != nil {
-			if replayed := wk.Replay(replayRecords); replayed > 0 {
-				dlog.Info("dispatch journal replay finished", "replayed", replayed)
-			}
-		}
 		handler = wk.Handler()
 	}
 	if fl != nil {
@@ -395,7 +372,7 @@ func run() int {
 		// After the pool drained no dispatches remain; stop probing.
 		fl.Stop()
 	}
-	if srvCfg.Journal != nil {
+	if journal != nil {
 		// A clean exit leaves a compact journal: the next start replays
 		// one snapshot instead of the whole WAL.
 		api.CompactJournal()

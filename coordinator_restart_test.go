@@ -2,13 +2,14 @@ package repro
 
 // Coordinator-restart adoption smoke test: boot a real coordinator +
 // 2 real workers as separate phpsafed processes (workers with their
-// own dispatch journals), put a batch of scans in flight, SIGKILL the
+// own scan journals), put a batch of scans in flight, SIGKILL the
 // coordinator, restart it on the same journal — and require that the
-// replayed scans are ADOPTED from the workers' in-flight tables rather
-// than resubmitted: every scan settles done, at least one trace
-// records an adopted event, and each scan has exactly one
-// dispatch_started record across all worker journals (a resubmission
-// would have left a second).
+// replayed scans are ADOPTED from the workers, which hold them under
+// the coordinator's scan ids (GET /v1/scans/{id}), rather than
+// resubmitted: every scan settles done, at least one trace records an
+// adopted event, and each coordinator scan id has exactly one accepted
+// record across all worker journals (a resubmission that re-ran the
+// scan would have left a second).
 
 import (
 	"bufio"
@@ -104,8 +105,7 @@ func TestCoordinatorRestartAdoptsInflight(t *testing.T) {
 	}
 
 	// Workers: single pool slot so the batch queues deep (scans still in
-	// flight when the coordinator dies), each with its own dispatch
-	// journal.
+	// flight when the coordinator dies), each with its own scan journal.
 	worker1 := start("-role=worker", "-addr", w1Addr, "-pool-workers", "1", "-queue", "32",
 		"-advertise", "http://"+w1Addr, "-journal", w1Journal)
 	defer stop(worker1)
@@ -158,29 +158,21 @@ func TestCoordinatorRestartAdoptsInflight(t *testing.T) {
 		ids[name] = submit(name)
 	}
 
-	// Wait until the workers actually carry unsettled dispatches — the
-	// kill must land with work in flight for adoption to have anything
-	// to adopt.
+	// Wait until the workers actually hold unsettled scans — the kill
+	// must land with work in flight for adoption to have anything to
+	// adopt. A worker names each scan by the coordinator's id.
 	unsettledInflight := func() int {
 		n := 0
-		for _, wa := range []string{w1Addr, w2Addr} {
-			resp, err := http.Get("http://" + wa + "/internal/v1/inflight")
-			if err != nil {
-				continue
-			}
-			var body struct {
-				Dispatches []struct {
-					State string `json:"state"`
-				} `json:"dispatches"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&body)
-			resp.Body.Close()
-			if err != nil {
-				continue
-			}
-			for _, d := range body.Dispatches {
-				switch d.State {
-				case "queued", "running":
+		for _, id := range ids {
+			for _, wa := range []string{w1Addr, w2Addr} {
+				resp, err := http.Get("http://" + wa + "/v1/scans/" + id)
+				if err != nil {
+					continue
+				}
+				var sc crashScanView
+				err = json.NewDecoder(resp.Body).Decode(&sc)
+				resp.Body.Close()
+				if err == nil && (sc.Status == "queued" || sc.Status == "running") {
 					n++
 				}
 			}
@@ -240,9 +232,9 @@ func TestCoordinatorRestartAdoptsInflight(t *testing.T) {
 		}
 	}
 
-	// At least one replayed scan must have been adopted from a worker's
-	// in-flight table — the restart happened mid-batch, so the workers
-	// were still carrying work.
+	// At least one replayed scan must have been adopted from a worker —
+	// the restart happened mid-batch, so the workers were still
+	// carrying work.
 	adopted := 0
 	for _, name := range names {
 		resp, err := http.Get("http://" + coordAddr + "/v1/scans/" + ids[name] + "/trace")
@@ -269,16 +261,12 @@ func TestCoordinatorRestartAdoptsInflight(t *testing.T) {
 	}
 	t.Logf("adopted %d of %d scans", adopted, len(names))
 
-	// The no-duplicate-attempt check: across both worker dispatch
-	// journals, every scan has exactly one dispatch_started record. A
-	// coordinator that resubmitted instead of adopting would have left
-	// a second record (on this worker via a fresh attempt epoch, or on
-	// the peer via handoff).
-	idToName := make(map[string]string, len(ids))
-	for name, id := range ids {
-		idToName[id] = name
-	}
-	started := make(map[string]int, len(ids))
+	// The no-duplicate-attempt check: across both worker journals, every
+	// coordinator scan id has exactly one accepted record. A coordinator
+	// that resubmitted instead of adopting would have left a second (a
+	// re-acceptance on this worker, or an acceptance on the peer via
+	// handoff).
+	accepted := make(map[string]int, len(ids))
 	for _, dir := range []string{w1Journal, w2Journal} {
 		for _, file := range []string{"wal.jsonl", "snapshot.jsonl"} {
 			f, err := os.Open(filepath.Join(dir, file))
@@ -301,17 +289,17 @@ func TestCoordinatorRestartAdoptsInflight(t *testing.T) {
 				if json.Unmarshal(line, &rec) != nil {
 					continue
 				}
-				if rec.Type == "dispatch_started" {
-					started[rec.Scan]++
+				if rec.Type == "accepted" {
+					accepted[rec.Scan]++
 				}
 			}
 			f.Close()
 		}
 	}
 	for name, id := range ids {
-		if got := started[id]; got != 1 {
-			t.Errorf("scan %s: %d dispatch_started records across worker journals, want exactly 1 (adoption, not resubmission)",
-				name, got)
+		if got := accepted[id]; got != 1 {
+			t.Errorf("scan %s: %d accepted records of %s across worker journals, want exactly 1 (adoption, not resubmission)",
+				name, got, id)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -24,16 +25,16 @@ import (
 )
 
 // fleetPHP is deliberately chunky: enough statements that a worker
-// with a single pool slot holds a batch in flight long enough for the
-// kill to land mid-scan. Findings are deterministic.
+// with a single pool slot holds a batch queued long enough for the test
+// to see it there before the kill. Findings are deterministic.
 func fleetPHP(name string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "<?php // %s\n", name)
 	b.WriteString("$base = $_GET['q'];\n")
-	for i := 0; i < 150; i++ {
+	for i := 0; i < 1000; i++ {
 		fmt.Fprintf(&b, "$v%d = $base . 'x%d';\n", i, i)
 	}
-	b.WriteString("echo $v149;\n")
+	b.WriteString("echo $v999;\n")
 	b.WriteString("mysql_query(\"SELECT * FROM t WHERE k='\" . $_POST['user'] . \"'\");\n")
 	return b.String()
 }
@@ -126,25 +127,32 @@ func TestFleetKillWorkerMidScan(t *testing.T) {
 	defer stop(solo)
 	waitHealthy(soloAddr)
 
-	submit := func(addr, name string) string {
-		t.Helper()
+	post := func(addr, name string) (string, error) {
 		body, _ := json.Marshal(map[string]any{
 			"name":  name,
 			"files": map[string]string{name + ".php": fleetPHP(name)},
 		})
 		resp, err := http.Post("http://"+addr+"/v1/scans", "application/json", bytes.NewReader(body))
 		if err != nil {
-			t.Fatalf("submitting %s to %s: %v", name, addr, err)
+			return "", fmt.Errorf("submitting %s to %s: %v", name, addr, err)
 		}
 		defer resp.Body.Close()
 		var sc crashScanView
 		if err := json.NewDecoder(resp.Body).Decode(&sc); err != nil {
-			t.Fatalf("decoding %s submission: %v", name, err)
+			return "", fmt.Errorf("decoding %s submission: %v", name, err)
 		}
 		if sc.ID == "" {
-			t.Fatalf("submission %s returned no id (HTTP %d)", name, resp.StatusCode)
+			return "", fmt.Errorf("submission %s returned no id (HTTP %d)", name, resp.StatusCode)
 		}
-		return sc.ID
+		return sc.ID, nil
+	}
+	submit := func(addr, name string) string {
+		t.Helper()
+		id, err := post(addr, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
 	}
 	waitSettled := func(addr, id string) crashScanView {
 		t.Helper()
@@ -170,14 +178,67 @@ func TestFleetKillWorkerMidScan(t *testing.T) {
 		return crashScanView{}
 	}
 
-	// Submit the batch, then kill one worker immediately: its queued
-	// and running dispatches are severed mid-flight.
-	names := make([]string, 0, 12)
-	ids := make(map[string]string, 12)
-	for i := 0; i < 12; i++ {
-		name := fmt.Sprintf("fleetscan%02d", i)
-		names = append(names, name)
-		ids[name] = submit(coordAddr, name)
+	// Submit the batch, then kill one worker while it holds unsettled
+	// scans: its queued and running dispatches are severed mid-flight.
+	var names []string
+	ids := make(map[string]string)
+	// A batch is submitted all at once, so it queues on the workers'
+	// single pool slots instead of draining as fast as it arrives.
+	submitBatch := func(n int) []string {
+		first := len(names)
+		for i := 0; i < n; i++ {
+			names = append(names, fmt.Sprintf("fleetscan%02d", first+i))
+		}
+		batch := make([]string, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range batch {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				batch[i], errs[i] = post(coordAddr, names[first+i])
+			}()
+		}
+		wg.Wait()
+		for i, id := range batch {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			ids[names[first+i]] = id
+		}
+		return batch
+	}
+	// victimBusy waits, within a bound, until the victim reads two of
+	// the batch's scans (it names each by the coordinator's id) queued or
+	// running: one is still there when the kill lands, however soon the
+	// running one finishes.
+	victimBusy := func(batch []string) bool {
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+			n := 0
+			for _, id := range batch {
+				resp, err := http.Get("http://" + w2Addr + "/v1/scans/" + id)
+				if err != nil {
+					continue
+				}
+				var sc crashScanView
+				err = json.NewDecoder(resp.Body).Decode(&sc)
+				resp.Body.Close()
+				if err == nil && (sc.Status == "queued" || sc.Status == "running") {
+					if n++; n == 2 {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	for batches := 1; !victimBusy(submitBatch(12)); batches++ {
+		// The ring (built on random ports) may route every lineage of a
+		// batch to the survivor, or the victim may finish its share
+		// before it is seen: submit another batch.
+		if batches == 5 {
+			t.Fatalf("worker2 never held two unsettled scans across %d scans; logs:\n%s", len(names), logs.String())
+		}
 	}
 	if err := worker2.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatalf("killing worker: %v", err)
@@ -187,11 +248,7 @@ func TestFleetKillWorkerMidScan(t *testing.T) {
 
 	// A post-kill submission exercises the not-yet-detected-dead
 	// window: its first dispatch may still route to the corpse.
-	for i := 12; i < 15; i++ {
-		name := fmt.Sprintf("fleetscan%02d", i)
-		names = append(names, name)
-		ids[name] = submit(coordAddr, name)
-	}
+	submitBatch(3)
 
 	// Every accepted scan settles done, byte-identical to standalone.
 	for _, name := range names {

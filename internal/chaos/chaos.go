@@ -49,23 +49,24 @@ const (
 	// letting them through — the slow-worker fault hedging exists for.
 	DispatchDelay FaultKind = "dispatch_delay"
 	// DispatchDup sends each dispatch to the target worker twice; the
-	// duplicate's response is discarded. Worker-side content dedup and
-	// the dispatch table must make this invisible.
+	// duplicate's response is discarded. The worker accepts a dispatch
+	// under its coordinator scan id, so the duplicate joins the first
+	// and this must be invisible.
 	DispatchDup FaultKind = "dispatch_dup"
 	// HeartbeatBlackhole fails GET /internal/v1/heartbeat to the target
 	// worker while the window is open: the worker looks dead to the
 	// monitor while still serving dispatches.
 	HeartbeatBlackhole FaultKind = "heartbeat_blackhole"
 	// WorkerKill hard-stops the target worker (in-flight scans
-	// interrupted, listener gone) and reboots it on the same dispatch
+	// interrupted, listener gone) and reboots it on the same scan
 	// journal after Dur. Driver-executed.
 	WorkerKill FaultKind = "worker_kill"
 	// CoordinatorRestart hard-stops the coordinator and reboots it on
 	// the same scan journal: replay, adoption, and membership recovery
 	// all on the line. Driver-executed.
 	CoordinatorRestart FaultKind = "coordinator_restart"
-	// JournalError makes the target worker's dispatch-journal writes
-	// fail while the window is open (via govern.IOFaultHookForTesting),
+	// JournalError makes the target worker's scan-journal writes fail
+	// while the window is open (via govern.IOFaultHookForTesting),
 	// degrading that journal to in-memory mode. Driver-installed.
 	JournalError FaultKind = "journal_error"
 )

@@ -158,7 +158,8 @@ func clearJournalWindows() {
 // (the coordinator sees connection errors, exactly like a SIGKILLed
 // process behind a dead port) and hard-stops the pool so in-flight
 // scans are interrupted un-settled; boot() rebuilds the full stack on
-// the same dispatch-journal directory and replays it.
+// the same scan-journal directory and replays it, as phpsafed
+// -role=worker -journal DIR does.
 
 type workerProc struct {
 	t   *testing.T
@@ -214,19 +215,17 @@ func (wp *workerProc) boot() {
 		time.Sleep(25 * time.Millisecond)
 	}
 	pool := jobs.New(jobs.Config{Workers: 2, QueueSize: 64, Recorder: rec})
-	wk := fleet.NewWorker(fleet.WorkerConfig{
-		Advertise: wp.url, Journal: jrnl, Recorder: rec, Logger: quietLogger(),
-	})
 	api := server.New(server.Config{
 		Pool:     pool,
 		Cache:    scancache.New(1<<20, rec),
 		Recorder: rec,
+		Journal:  jrnl,
 		Retry:    jobs.RetryPolicy{MaxAttempts: 1},
-		OnSettle: wk.OnSettle,
 		Logger:   quietLogger(),
 	})
+	api.Replay(records)
+	wk := fleet.NewWorker(fleet.WorkerConfig{Advertise: wp.url})
 	wk.Bind(api, pool)
-	wk.Replay(records)
 
 	wp.mu.Lock()
 	wp.h = wk.Handler()
@@ -237,8 +236,8 @@ func (wp *workerProc) boot() {
 
 // kill hard-stops the worker: requests abort — the open ones too, as
 // a dead process's sockets reset — running scans are interrupted before
-// they settle, the dispatch journal keeps its open records for the
-// reboot's replay.
+// they settle, the scan journal keeps them unsettled for the reboot's
+// replay.
 func (wp *workerProc) kill() {
 	wp.mu.Lock()
 	pool, jrnl := wp.pool, wp.jrnl

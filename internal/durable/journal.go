@@ -20,8 +20,8 @@
 //
 // Blobs. File content is journaled once per distinct file: a blob
 // record carries one file's bytes under its SHA-256 address, and the
-// accepted and dispatch_started records that need it list the address
-// in Refs (their payloads name files by path and address only). One
+// accepted records that need it list the address in Refs (their
+// payloads name files by path and address only). One
 // Append writes a submission's new blobs ahead of its record, in one
 // write and one sync, and skips every blob the journal already holds
 // (journal_blobs_deduped_total). A torn tail can therefore orphan a
@@ -46,14 +46,15 @@
 // Accounting. The journal files every line it holds, by its length, as
 // live or garbage. Live: each scan's latest accepted record and latest
 // completed/quarantined record, fleet_member records, and everything a
-// snapshot holds. A fleet worker's dispatch_started and dispatch_settled
-// records count the same way as accepted and final records. A blob is
-// live while some live record references it. Garbage: started and
-// attempt_failed records, accepted and final records a later record of
-// the same kind superseded (re-acceptance retires the whole old pair),
-// records of scans the caller retired (Retire), blobs no live record
-// references (orphans of a torn tail included), and WAL records a
-// snapshot already absorbed. NeedsCompaction asks for a
+// snapshot holds. A blob is live while some live record references it.
+// Garbage: started and attempt_failed records, accepted and final
+// records a later record of the same kind superseded (re-acceptance
+// retires the whole old pair), records of scans the caller retired
+// (Retire), blobs no live record references (orphans of a torn tail
+// included), WAL records a snapshot already absorbed, and every line
+// of a type the journal no longer writes (a fleet worker's retired
+// dispatch records), in the snapshot too: nothing replays those, so
+// the first compaction drops them. NeedsCompaction asks for a
 // compaction only once garbage outweighs both the live bytes and a
 // floor, so compaction rewrites at most as many bytes as it drops and
 // disk use stays under 2 × live + floor. Open rebuilds the same split from the files.
@@ -109,18 +110,8 @@ const (
 	// dispatch ring after a coordinator restart, so auto-registered
 	// workers survive without re-announcing.
 	RecFleetMember RecordType = "fleet_member"
-	// RecDispatchStarted is a fleet worker's local record of one
-	// dispatched attempt it accepted (ScanID is the coordinator's scan
-	// id; the payload carries the submission). A worker restart replays
-	// unfinished dispatches so the coordinator finds the work still
-	// running instead of vanished.
-	RecDispatchStarted RecordType = "dispatch_started"
-	// RecDispatchSettled closes a RecDispatchStarted: the worker-side
-	// scan reached a terminal state.
-	RecDispatchSettled RecordType = "dispatch_settled"
 	// RecBlob holds one file's content (Blob) under its hex SHA-256
-	// address (Hash). Accepted and dispatch_started records reference
-	// it through Refs.
+	// address (Hash). Accepted records reference it through Refs.
 	RecBlob RecordType = "blob"
 	// recSnapshot is the meta record heading a snapshot file; it
 	// carries the highest sequence number the snapshot absorbed.
@@ -145,9 +136,8 @@ type Record struct {
 	// Hash and Blob are a blob record's address and content.
 	Hash string `json:"hash,omitempty"`
 	Blob []byte `json:"blob,omitempty"`
-	// Refs lists the blob addresses an accepted or dispatch_started
-	// record's payload names; a blob stays live while a live record
-	// references it.
+	// Refs lists the blob addresses an accepted record's payload names;
+	// a blob stays live while a live record references it.
 	Refs    []string        `json:"refs,omitempty"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 	// content is the file content of a blob record FileBlobs built;
@@ -639,9 +629,11 @@ func (j *Journal) compactLocked(live []Record) error {
 // accountLocked files one n-byte journal line as live or garbage (see
 // Accounting in the package comment); caller holds j.mu. Lines of a
 // snapshot are live by construction: Compact wrote exactly the live
-// set, so inSnapshot only attributes them to their scan.
+// set, so inSnapshot only attributes them to their scan. A line of a
+// type the journal no longer writes is garbage wherever it lies.
 func (j *Journal) accountLocked(r Record, n int64, inSnapshot bool) {
-	if r.Type == RecBlob {
+	switch r.Type {
+	case RecBlob:
 		// Unreferenced until a record names it; a second line for an
 		// address already on disk is never needed again.
 		if j.blobs[r.Hash] == nil {
@@ -649,11 +641,20 @@ func (j *Journal) accountLocked(r Record, n int64, inSnapshot bool) {
 		}
 		j.garbage += n
 		return
+	case RecFleetMember, recSnapshot:
+		j.live += n
+		return
+	case RecAccepted, RecStarted, RecAttemptFailed, RecCompleted, RecQuarantined:
+	default:
+		// Nothing replays it (a fleet worker's retired dispatch
+		// records), so it must not hold a compaction back.
+		j.garbage += n
+		return
 	}
 	sb := j.scans[r.ScanID]
-	final := r.Type == RecCompleted || r.Type == RecQuarantined || r.Type == RecDispatchSettled
+	final := r.Type == RecCompleted || r.Type == RecQuarantined
 	switch {
-	case r.Type == RecAccepted || r.Type == RecDispatchStarted:
+	case r.Type == RecAccepted:
 		if sb == nil {
 			sb = &scanBytes{}
 			j.scans[r.ScanID] = sb
@@ -677,7 +678,7 @@ func (j *Journal) accountLocked(r Record, n int64, inSnapshot bool) {
 			sb.final = 0
 		}
 		sb.final += n
-	case r.Type == RecStarted || r.Type == RecAttemptFailed || final:
+	default:
 		// Attempt bookkeeping, or a record whose scan has no accepted
 		// record left (retired, or lost in a damaged tail).
 		j.garbage += n

@@ -610,20 +610,3 @@ func TestOpenRestoresAccounting(t *testing.T) {
 	defer j4.Close()
 	checkUsage(t, j4, snap, int64(len(preWAL)))
 }
-
-func TestDispatchRecordsAccountLikeScans(t *testing.T) {
-	t.Parallel()
-	j, _ := openT(t, t.TempDir(), Options{})
-	defer j.Close()
-	st := appendSize(t, j, Record{Type: RecDispatchStarted, ScanID: "c1"})
-	fin := appendSize(t, j, Record{Type: RecDispatchSettled, ScanID: "c1"})
-	keep := appendSize(t, j, Record{Type: RecDispatchStarted, ScanID: "c2"})
-	checkUsage(t, j, st+fin+keep, 0)
-	// A re-dispatch supersedes the settled pair.
-	st2 := appendSize(t, j, Record{Type: RecDispatchStarted, ScanID: "c1"})
-	checkUsage(t, j, st2+keep, st+fin)
-	// A settle with no open dispatch is garbage; Retire drops the rest.
-	orphan := appendSize(t, j, Record{Type: RecDispatchSettled, ScanID: "ghost"})
-	j.Retire("c1")
-	checkUsage(t, j, keep, st+fin+orphan+st2)
-}

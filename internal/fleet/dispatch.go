@@ -56,9 +56,9 @@ type workerScanView struct {
 // Dispatch executes one scan attempt on the ring owner of req.Key.
 // When hedging is configured a second branch races the primary after
 // the hedge delay; the first settled result wins and the loser is
-// cancelled. A replayed scan (req.Resubmitted) first reconciles with
-// the workers' in-flight tables and adopts a still-running pre-restart
-// dispatch instead of starting a duplicate.
+// cancelled. A replayed scan (req.Resubmitted) first asks the workers
+// for its scan id and adopts a pre-restart dispatch one still holds
+// instead of starting a duplicate.
 func (f *Fleet) Dispatch(ctx context.Context, req *server.DispatchRequest) (*server.DispatchResult, error) {
 	if req.Resubmitted {
 		if res, err, adopted := f.adopt(ctx, req); adopted {
@@ -105,25 +105,34 @@ func (f *Fleet) dispatchOne(ctx context.Context, owner string, req *server.Dispa
 	res, err := f.dispatchTo(dctx, owner, body)
 	f.rec.Observe("fleet_dispatch_seconds", f.rec.Now().Sub(start).Seconds())
 	if err != nil {
-		// Disambiguate whose cancellation aborted the exchange.
-		if ctx.Err() != nil {
-			// The scan itself was cancelled, the coordinator is draining,
-			// or (inside a hedge) the other branch won: propagate so the
-			// caller classifies it (the poll loop already forwarded a
-			// best-effort cancel to the worker when it had a scan id).
-			return nil, ctx.Err()
-		}
-		if dctx.Err() != nil {
-			// Severed by the health monitor: the worker is dead. The
-			// per-scan heartbeat_lost event was appended when the
-			// monitor cut the cord; return retryable so the next
-			// attempt hands the scan to the next ring owner.
-			return nil, fmt.Errorf("fleet: dispatch to %s severed: worker declared dead", owner)
-		}
-		return nil, err
+		return nil, severed(ctx, dctx, err, "dispatch to "+owner)
 	}
 	f.ReportSuccess(owner)
 	return res, nil
+}
+
+// severed disambiguates whose cancellation aborted an exchange with a
+// worker that ran under dctx, the child of the scan's ctx the health
+// monitor cancels when it declares the worker dead. A cancellation
+// must never leak out of the fleet layer unless the scan's own context
+// died, or the jobs lifecycle would misread a severed exchange as a
+// client cancel or a shutdown.
+func severed(ctx, dctx context.Context, err error, exchange string) error {
+	if ctx.Err() != nil {
+		// The scan itself was cancelled, the coordinator is draining,
+		// or (inside a hedge) the other branch won: propagate so the
+		// caller classifies it (the poll loop already forwarded a
+		// best-effort cancel to the worker when it had a scan id).
+		return ctx.Err()
+	}
+	if dctx.Err() != nil {
+		// Severed by the health monitor: the worker is dead. The
+		// per-scan heartbeat_lost event was appended when the monitor
+		// cut the cord; return retryable so the next attempt hands the
+		// scan to the next ring owner.
+		return fmt.Errorf("fleet: %s severed: worker declared dead", exchange)
+	}
+	return err
 }
 
 // hedgeOutcome is one branch's answer inside a hedged dispatch.
@@ -266,21 +275,15 @@ func (f *Fleet) pickOwners(req *server.DispatchRequest, want int) ([]string, boo
 	return owners, true
 }
 
-// inflightEntry is one row of a worker's dispatch table, as served by
-// GET /internal/v1/inflight: which coordinator scan maps to which local
-// scan, and how far it has gotten.
-type inflightEntry struct {
-	ScanID       string `json:"scan_id"`
-	WorkerScanID string `json:"worker_scan_id"`
-	State        string `json:"state"`
-}
-
-// adopt reconciles a replayed scan with the workers' in-flight tables:
-// if some worker still carries req.ScanID from a dispatch the previous
-// coordinator process started, attach to that scan — poll it to
-// settlement and take its result — instead of resubmitting the work.
-// The third return reports whether an adoption happened; false sends
-// the caller down the normal dispatch path.
+// adopt looks for a replayed scan on the workers: if some worker still
+// holds req.ScanID from a dispatch the previous coordinator process
+// made (workers name their scans by the coordinator's ids), attach to
+// that scan — poll it to settlement and take its result — instead of
+// resubmitting the work. An unreachable worker reads as one that never
+// saw the scan: the fresh dispatch that follows is safe either way,
+// since a worker that holds the id joins it. The third return reports
+// whether an adoption happened; false sends the caller down the normal
+// dispatch path.
 func (f *Fleet) adopt(ctx context.Context, req *server.DispatchRequest) (*server.DispatchResult, error, bool) {
 	f.mu.Lock()
 	candidates := make([]string, 0, len(f.workers))
@@ -292,23 +295,24 @@ func (f *Fleet) adopt(ctx context.Context, req *server.DispatchRequest) (*server
 	f.mu.Unlock()
 
 	for _, addr := range candidates {
-		entry, ok := f.queryInflight(ctx, addr, req.ScanID)
-		if !ok {
+		qctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+		view, err := f.fetchView(qctx, addr, addr+"/v1/scans/"+req.ScanID)
+		cancel()
+		if err != nil {
 			continue
 		}
 		f.rec.Counter("fleet_adoptions_total").Inc()
 		f.rec.Events().Append(obs.Event{
 			Scan: req.ScanID, Type: EvAdopted, Attempt: req.Attempt,
-			Detail: addr + " " + entry.WorkerScanID,
+			Detail: addr + " " + view.Status,
 		})
 		f.log.Info("fleet scan adopted",
-			"scan_id", req.ScanID, "worker", addr,
-			"worker_scan_id", entry.WorkerScanID, "state", entry.State)
+			"scan_id", req.ScanID, "worker", addr, "state", view.Status)
 		f.mu.Lock()
 		f.lastOwner[req.ScanID] = addr
 		f.mu.Unlock()
 
-		res, err := f.attach(ctx, addr, entry.WorkerScanID)
+		res, err := f.attach(ctx, addr, view)
 		if err == nil {
 			f.ReportSuccess(addr)
 			f.forgetOwner(req.ScanID)
@@ -318,73 +322,21 @@ func (f *Fleet) adopt(ctx context.Context, req *server.DispatchRequest) (*server
 	return nil, nil, false
 }
 
-// queryInflight asks one worker whether it carries scanID in its
-// dispatch table. Errors and 404s both report false: an unreachable
-// worker is indistinguishable from one that never saw the scan, and
-// the caller's fallback (a fresh dispatch) is safe either way — the
-// worker-side content dedup joins a duplicate to the surviving attempt
-// if the worker comes back.
-func (f *Fleet) queryInflight(ctx context.Context, addr, scanID string) (inflightEntry, bool) {
-	qctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(qctx, http.MethodGet,
-		addr+"/internal/v1/inflight?scan="+scanID, nil)
-	if err != nil {
-		return inflightEntry{}, false
-	}
-	resp, err := f.client.Do(hreq)
-	if err != nil {
-		return inflightEntry{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return inflightEntry{}, false
-	}
-	var entry inflightEntry
-	if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil || entry.WorkerScanID == "" {
-		return inflightEntry{}, false
-	}
-	return entry, true
-}
-
 // attach follows an adopted worker scan to settlement: long-poll it
-// (with severing registered, so the worker dying mid-adoption turns
-// into a retryable error and a normal handoff) and map the settled
-// state exactly like a fresh dispatch.
-func (f *Fleet) attach(ctx context.Context, owner, workerScanID string) (*server.DispatchResult, error) {
+// while it is unsettled (with severing registered, so the worker dying
+// mid-adoption turns into a retryable error and a normal handoff) and
+// map the settled state exactly like a fresh dispatch.
+func (f *Fleet) attach(ctx context.Context, owner string, view workerScanView) (*server.DispatchResult, error) {
 	dctx, cancel := context.WithCancel(ctx)
-	f.register(owner, workerScanID, cancel)
+	f.register(owner, view.ID, cancel)
 	defer func() {
 		cancel()
-		f.unregister(owner, workerScanID)
+		f.unregister(owner, view.ID)
 	}()
-
-	view := workerScanView{ID: workerScanID}
 	if err := f.pollUntilSettled(dctx, owner, &view); err != nil {
-		// Disambiguate exactly like dispatchOne: a cancellation must
-		// never leak out of the fleet layer unless the scan's own
-		// context died, or the jobs lifecycle would misread a severed
-		// adoption as a client cancel or a shutdown.
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if dctx.Err() != nil {
-			return nil, fmt.Errorf("fleet: adoption from %s severed: worker declared dead", owner)
-		}
-		return nil, err
+		return nil, severed(ctx, dctx, err, "adoption from "+owner)
 	}
-	switch view.Status {
-	case "done":
-		return &server.DispatchResult{Worker: owner, Result: view.Result, Inc: view.Inc}, nil
-	case "failed", "quarantined", "cancelled":
-		msg := view.Error
-		if msg == "" {
-			msg = "scan " + view.Status + " on worker"
-		}
-		return nil, fmt.Errorf("fleet: adopted scan on %s: %s", owner, msg)
-	default:
-		return nil, fmt.Errorf("fleet: adopted scan on %s settled in unexpected state %q", owner, view.Status)
-	}
+	return settledView(owner, view)
 }
 
 func (f *Fleet) register(owner, scanID string, cancel context.CancelFunc) {
@@ -448,18 +400,21 @@ func (f *Fleet) dispatchTo(ctx context.Context, owner string, body []byte) (*ser
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		return nil, fmt.Errorf("fleet: decode worker response: %w", err)
 	}
-	if resp.StatusCode == http.StatusAccepted {
-		if err := f.pollUntilSettled(ctx, owner, &view); err != nil {
-			return nil, err
-		}
+	if err := f.pollUntilSettled(ctx, owner, &view); err != nil {
+		return nil, err
 	}
+	return settledView(owner, view)
+}
+
+// settledView maps a settled worker scan view to the attempt's outcome:
+// a done scan's result, or a plain retryable error. The worker runs
+// with a single-attempt budget; the coordinator's own retry lifecycle
+// decides whether a failure retries, hands off, or quarantines.
+func settledView(owner string, view workerScanView) (*server.DispatchResult, error) {
 	switch view.Status {
 	case "done":
 		return &server.DispatchResult{Worker: owner, Result: view.Result, Inc: view.Inc}, nil
-	case "failed", "quarantined":
-		// The worker runs with a single-attempt budget; the
-		// coordinator's own retry lifecycle decides whether this
-		// failure retries, hands off, or quarantines.
+	case "failed", "quarantined", "cancelled":
 		msg := view.Error
 		if msg == "" {
 			msg = "scan " + view.Status + " on worker"
@@ -470,15 +425,15 @@ func (f *Fleet) dispatchTo(ctx context.Context, owner string, body []byte) (*ser
 	}
 }
 
-// pollUntilSettled long-polls owner's scan view (GET ?wait=) until it
-// leaves the queued/running states. The worker holds each request until
-// the scan settles or its wait cap passes, so the coordinator learns of
-// a settle one round trip after it and never sleeps between requests.
+// pollUntilSettled long-polls owner's scan view (GET ?wait=) while it
+// reads queued or running. The worker holds each request until the
+// scan settles or its wait cap passes, so the coordinator learns of a
+// settle one round trip after it and never sleeps between requests.
 // A context that dies while a request is open (client cancel, hedge
 // loser, severed owner) forwards the cancel to the worker scan.
 func (f *Fleet) pollUntilSettled(ctx context.Context, owner string, view *workerScanView) error {
 	url := owner + "/v1/scans/" + view.ID + "?wait=" + server.MaxScanWait.String()
-	for {
+	for view.Status == "queued" || view.Status == "running" {
 		next, err := f.fetchView(ctx, owner, url)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -487,13 +442,9 @@ func (f *Fleet) pollUntilSettled(ctx context.Context, owner string, view *worker
 			}
 			return err
 		}
-		switch next.Status {
-		case "queued", "running":
-			continue
-		}
 		*view = next
-		return nil
 	}
+	return nil
 }
 
 // fetchView performs one GET of a worker scan view.

@@ -70,9 +70,9 @@ const (
 	// EvHedgeCancelled: the losing branch of a hedged dispatch was
 	// cancelled (Detail names the cancelled worker).
 	EvHedgeCancelled = "hedge_cancelled"
-	// EvAdopted: a restarted coordinator found this replayed scan still
-	// running on a worker and attached to it instead of resubmitting
-	// (Detail: "worker worker_scan_id").
+	// EvAdopted: a restarted coordinator found this replayed scan on a
+	// worker and attached to it instead of resubmitting (Detail: "worker
+	// state", the state the worker reported).
 	EvAdopted = "adopted"
 	// EvWorkerJoined: a worker announced itself and entered the ring.
 	// Daemon-level (no scan id); Detail names the worker.

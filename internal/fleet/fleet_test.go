@@ -42,8 +42,7 @@ type scanView struct {
 }
 
 // newWorker boots one fleet worker: a full server stack with a
-// single-attempt budget behind the worker handler, without a dispatch
-// journal or settle tracking.
+// single-attempt budget behind the worker handler, without a journal.
 func newWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	rec := obs.NewRecorder()
@@ -67,8 +66,8 @@ func newWorker(t *testing.T) *httptest.Server {
 }
 
 // newCoordinator boots a coordinator over the given worker URLs with
-// fast heartbeat and retry tuning.
-func newCoordinator(t *testing.T, workerURLs []string) (*httptest.Server, *Fleet, *obs.Recorder) {
+// fast heartbeat and retry tuning; mutate adjusts its server config.
+func newCoordinator(t *testing.T, workerURLs []string, mutate ...func(*server.Config)) (*httptest.Server, *Fleet, *obs.Recorder) {
 	t.Helper()
 	rec := obs.NewRecorder()
 	pool := jobs.New(jobs.Config{Workers: 4, QueueSize: 32, Recorder: rec})
@@ -79,14 +78,18 @@ func newCoordinator(t *testing.T, workerURLs []string) (*httptest.Server, *Fleet
 		ReconnectBackoff:  jobs.RetryPolicy{Base: 20 * time.Millisecond, Cap: 100 * time.Millisecond},
 		Recorder:          rec,
 	})
-	api := server.New(server.Config{
+	cfg := server.Config{
 		Pool:        pool,
 		Cache:       scancache.New(1<<20, rec),
 		Recorder:    rec,
 		Retry:       jobs.RetryPolicy{MaxAttempts: 6, Base: 10 * time.Millisecond, Cap: 50 * time.Millisecond},
 		Dispatch:    fl.Dispatch,
 		FleetStatus: fl.Status,
-	})
+	}
+	for _, m := range mutate {
+		m(&cfg)
+	}
+	api := server.New(cfg)
 	fl.Start()
 	ts := httptest.NewServer(api)
 	t.Cleanup(func() {

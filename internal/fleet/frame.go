@@ -10,10 +10,12 @@
 // header's strings (paths, name, tool, profile) are JSON text, so
 // encodeDispatch writes them as valid UTF-8, each invalid byte as
 // U+FFFD, exactly as a JSON encoding of the submission always has. The
-// header must be canonical (exactly what encodeDispatch writes), so any
-// frame decodeDispatch accepts re-encodes to the same bytes. These two
-// functions are the only code that knows the format; coordinator and
-// workers run one build, so there is no other encoding to accept.
+// scan id must pass server.CheckScanID: the worker names its scan by
+// it. The header must be canonical (exactly what encodeDispatch
+// writes), so any frame decodeDispatch accepts re-encodes to the same
+// bytes. These two functions are the only code that knows the format;
+// coordinator and workers run one build, so there is no other encoding
+// to accept.
 
 package fleet
 
@@ -32,11 +34,8 @@ import (
 	"repro/internal/server"
 )
 
-// dispatchHeader is a dispatch's submission with its files named, not
-// carried. It is the frame header, whose files carry path and size,
-// and the payload of the worker's dispatch_started record, whose files
-// carry path and content address (or, in journals written before blob
-// records, the content inline).
+// dispatchHeader is the frame header: a dispatch's submission with
+// each file named by path and size, not carried.
 type dispatchHeader struct {
 	ScanID  string                `json:"scan_id"`
 	Attempt int                   `json:"attempt"`
@@ -54,7 +53,7 @@ var errMalformedFrame = errors.New("malformed dispatch frame")
 
 // encodeDispatch renders req as a dispatch frame.
 func encodeDispatch(req *server.DispatchRequest) ([]byte, error) {
-	text := func(s string) string { return strings.ToValidUTF8(s, "\uFFFD") }
+	text := analyzer.ValidUTF8
 	hdr := dispatchHeader{
 		ScanID: text(req.ScanID), Attempt: req.Attempt, Name: text(req.Name),
 		Tool: text(req.Tool), Profile: text(req.Profile), Opts: req.Opts,
@@ -96,6 +95,9 @@ func decodeDispatch(r io.Reader, maxContent int64) (*server.DispatchRequest, err
 	}
 	if canon, err := json.Marshal(&hdr); err != nil || !bytes.Equal(canon, head) {
 		return nil, fmt.Errorf("%w: header is not canonical", errMalformedFrame)
+	}
+	if err := server.CheckScanID(hdr.ScanID); err != nil {
+		return nil, fmt.Errorf("%w: %v", errMalformedFrame, err)
 	}
 	var total int64
 	for _, f := range hdr.Files {

@@ -38,15 +38,16 @@ func request(scanID, name string, pathContent ...string) *server.DispatchRequest
 }
 
 // FuzzDispatchFrame: no input panics the decoder, every frame it
-// accepts re-encodes to the same bytes, and every frame encodeDispatch
-// writes (here with the input as header strings and content) decodes
-// to the same content with the header's strings made valid UTF-8.
+// accepts re-encodes to the same bytes and carries a valid scan id, and
+// every frame encodeDispatch writes (here with the input as header
+// strings and content) decodes to the same content with the header's
+// strings made valid UTF-8.
 func FuzzDispatchFrame(f *testing.F) {
 	for _, req := range []*server.DispatchRequest{
 		request("s", "p"),
 		request("s", "empty", "a.php", "", "b.php", ""),
 		request("s", "ff", "a.php", "<?php // \xff\xfe\n", "\xff.php", "\xff"),
-		request("s\xe9", "caf\xe9", "caf\xe9.php", "<?php echo 'caf\xe9';"),
+		request("s-1", "caf\xe9", "caf\xe9.php", "<?php echo 'caf\xe9';"),
 	} {
 		frame, err := encodeDispatch(req)
 		if err != nil {
@@ -70,6 +71,9 @@ func FuzzDispatchFrame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := decodeDispatch(bytes.NewReader(data), frameCap); err == nil {
+			if err := server.CheckScanID(req.ScanID); err != nil {
+				t.Fatalf("accepted frame carries a bad scan id: %v", err)
+			}
 			again, err := encodeDispatch(req)
 			if err != nil {
 				t.Fatalf("accepted frame does not re-encode: %v", err)
@@ -80,7 +84,7 @@ func FuzzDispatchFrame(f *testing.F) {
 		}
 
 		s := string(data)
-		in := request(s, s, s+".php", s, "b.php", s)
+		in := request("s", s, s+".php", s, "b.php", s)
 		in.Tool, in.Profile = s, s
 		frame, err := encodeDispatch(in)
 		if err != nil {
@@ -90,8 +94,8 @@ func FuzzDispatchFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoder rejects the frame encodeDispatch wrote: %v\n%q", err, frame)
 		}
-		text := strings.ToValidUTF8(s, "\uFFFD")
-		if out.ScanID != text || out.Name != text || out.Tool != text || out.Profile != text ||
+		text := analyzer.ValidUTF8(s)
+		if out.ScanID != "s" || out.Name != text || out.Tool != text || out.Profile != text ||
 			len(out.Target.Files) != 2 || out.Target.Files[0].Path != text+".php" || out.Target.Files[1].Path != "b.php" {
 			t.Fatalf("header decoded as %+v, files %+v; want every string %q", out, out.Target.Files, text)
 		}
@@ -121,7 +125,7 @@ func TestDispatchFrameRoundTrip(t *testing.T) {
 	}
 	for i, f := range out.Target.Files {
 		want := in.Target.Files[i]
-		if f.Path != strings.ToValidUTF8(want.Path, "\uFFFD") || f.Content != want.Content {
+		if f.Path != analyzer.ValidUTF8(want.Path) || f.Content != want.Content {
 			t.Errorf("file %d = %q %q, want %q %q (the path made valid UTF-8, the content as sent)", i, f.Path, f.Content, want.Path, want.Content)
 		}
 	}
@@ -133,8 +137,9 @@ func TestDispatchFrameRoundTrip(t *testing.T) {
 
 // TestDispatchFrameRejects: the worker answers 413 for a body past its
 // cap (its upload limit for the content, as much again for the header)
-// and 400 for a malformed frame, and journals nothing for either; a
-// frame whose content fills the upload limit is accepted.
+// and 400 for a malformed frame or a scan id it cannot name a scan by,
+// and journals nothing for either; a frame whose content fills the
+// upload limit is accepted.
 func TestDispatchFrameRejects(t *testing.T) {
 	t.Parallel()
 	const limit = 4096
@@ -145,10 +150,10 @@ func TestDispatchFrameRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := jobs.New(jobs.Config{Workers: 1, QueueSize: 4, Recorder: rec})
-	wk := NewWorker(WorkerConfig{Journal: jrnl, Recorder: rec, Logger: quietTestLogger()})
+	wk := NewWorker(WorkerConfig{})
 	api := server.New(server.Config{
 		Pool: pool, Cache: scancache.New(1<<20, rec), Recorder: rec, MaxUploadBytes: limit,
-		Retry: jobs.RetryPolicy{MaxAttempts: 1}, OnSettle: wk.OnSettle,
+		Retry: jobs.RetryPolicy{MaxAttempts: 1}, Journal: jrnl,
 	})
 	wk.Bind(api, pool)
 	ts := httptest.NewServer(wk.Handler())
@@ -182,6 +187,10 @@ func TestDispatchFrameRejects(t *testing.T) {
 		return resp.StatusCode, out
 	}
 	good, _ := encodeDispatch(request("rej", "rej", "a.php", vulnerablePHP))
+	badID := func(id string) []byte {
+		frame, _ := encodeDispatch(request(id, "rej", "a.php", vulnerablePHP))
+		return frame
+	}
 	old, _ := json.Marshal(map[string]any{
 		"scan_id": "rej", "attempt": 1, "name": "rej",
 		"files": []map[string]any{{"path": "a.php", "content": []byte(vulnerablePHP)}},
@@ -201,6 +210,9 @@ func TestDispatchFrameRejects(t *testing.T) {
 		{"file named by hash", header(durable.FileRef{Hash: analyzer.HashContent("")}), http.StatusBadRequest},
 		{"inline content", header(durable.FileRef{Content: []byte("<?php")}), http.StatusBadRequest},
 		{"old JSON body", old, http.StatusBadRequest},
+		{"scan id past 64 bytes", badID(strings.Repeat("a", 65)), http.StatusBadRequest},
+		{"scan id with a slash", badID("a/b"), http.StatusBadRequest},
+		{"scan id ..", badID(".."), http.StatusBadRequest},
 		{"empty body", nil, http.StatusBadRequest},
 	} {
 		if status, body := post(tc.body); status != tc.want || body["error"] == nil {
@@ -235,8 +247,10 @@ func TestDispatchFrameRejects(t *testing.T) {
 // on a standalone daemon: the frame carries the bytes as they are. The
 // two variables differ only in a byte that is not UTF-8; mangled into
 // U+FFFD they would be one variable, overwritten with a safe value, and
-// the finding would vanish. A member whose name is not UTF-8 (an old
-// Latin-1 archive) is reported under the same name both ways.
+// the finding would vanish. Members whose names are not UTF-8 (an old
+// Latin-1 archive) are reported under the same names both ways, each
+// invalid byte as one U+FFFD. Both daemons write the same result bytes
+// and the same SARIF and HTML reports.
 func TestFleetNonUTF8ZipMatchesStandalone(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
@@ -244,6 +258,7 @@ func TestFleetNonUTF8ZipMatchesStandalone(t *testing.T) {
 	for _, m := range []struct{ name, src string }{
 		{"latin1.php", "<?php\n$a\xfe = $_GET['q'];\n$a\xff = 'caf\xe9';\necho $a\xfe;\n"},
 		{"caf\xe9.php", "<?php\necho $_GET['menu'];\n"},
+		{"d\xe9\xe8.php", "<?php\necho $_GET['two'];\n"},
 	} {
 		fw, err := zw.CreateHeader(&zip.FileHeader{Name: m.name, NonUTF8: true})
 		if err != nil {
@@ -267,6 +282,19 @@ func TestFleetNonUTF8ZipMatchesStandalone(t *testing.T) {
 		}
 		return waitSettled(t, base, sc.ID)
 	}
+	report := func(base, id, format string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/scans/" + id + "?format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s report of %s = HTTP %d (%v): %s", format, id, resp.StatusCode, err, body)
+		}
+		return body
+	}
 
 	w1 := newWorker(t)
 	coord, _, _ := newCoordinator(t, []string{w1.URL})
@@ -286,31 +314,27 @@ func TestFleetNonUTF8ZipMatchesStandalone(t *testing.T) {
 	if fleetRes.Status != "done" || soloRes.Status != "done" {
 		t.Fatalf("fleet %s (%s), standalone %s (%s), want both done", fleetRes.Status, fleetRes.Error, soloRes.Status, soloRes.Error)
 	}
-	// Compare JSON values: the coordinator re-encodes the worker's
-	// decoded result, so a byte that is not UTF-8 comes back as the
-	// U+FFFD rune where the standalone daemon writes a \ufffd escape.
-	value := func(raw json.RawMessage) (string, int) {
-		var v struct {
-			Findings []json.RawMessage `json:"findings"`
+	if !bytes.Equal(fleetRes.Result, soloRes.Result) {
+		t.Errorf("fleet result differs from standalone:\nfleet: %s\nsolo:  %s", fleetRes.Result, soloRes.Result)
+	}
+	var res struct {
+		Findings []json.RawMessage `json:"findings"`
+	}
+	if err := json.Unmarshal(fleetRes.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Findings) != 3 {
+		t.Errorf("fleet result has %d findings, want the XSS the raw bytes carry and one in each Latin-1-named file: %s", len(res.Findings), fleetRes.Result)
+	}
+	for _, name := range []string{"caf\uFFFD.php", "d\uFFFD\uFFFD.php"} {
+		if !bytes.Contains(fleetRes.Result, []byte(name)) {
+			t.Errorf("fleet result does not name %q: %s", name, fleetRes.Result)
 		}
-		var all any
-		if err := json.Unmarshal(raw, &v); err != nil {
-			t.Fatal(err)
+	}
+	for _, format := range []string{"sarif", "html"} {
+		if f, s := report(coord.URL, fleetRes.ID, format), report(standalone.URL, soloRes.ID, format); !bytes.Equal(f, s) {
+			t.Errorf("fleet %s report differs from standalone:\nfleet: %s\nsolo:  %s", format, f, s)
 		}
-		json.Unmarshal(raw, &all)
-		canon, _ := json.Marshal(all)
-		return string(canon), len(v.Findings)
-	}
-	fleetVal, findings := value(fleetRes.Result)
-	soloVal, _ := value(soloRes.Result)
-	if fleetVal != soloVal {
-		t.Errorf("fleet result differs from standalone:\nfleet: %s\nsolo:  %s", fleetVal, soloVal)
-	}
-	if findings != 2 {
-		t.Errorf("fleet result has %d findings, want the XSS the raw bytes carry and the one in caf\\xe9.php: %s", findings, fleetVal)
-	}
-	if !strings.Contains(fleetVal, "caf\uFFFD.php") {
-		t.Errorf("fleet result does not name caf\\xe9.php: %s", fleetVal)
 	}
 }
 
@@ -355,10 +379,10 @@ func TestFleetZipPastUploadCapMatchesStandalone(t *testing.T) {
 	}
 	wrec := obs.NewRecorder()
 	wpool := jobs.New(jobs.Config{Workers: 1, QueueSize: 8, Recorder: wrec})
-	wk := NewWorker(WorkerConfig{Recorder: wrec})
+	wk := NewWorker(WorkerConfig{})
 	wk.Bind(server.New(server.Config{
 		Pool: wpool, Cache: scancache.New(1<<20, wrec), Recorder: wrec, MaxUploadBytes: limit,
-		Retry: jobs.RetryPolicy{MaxAttempts: 1}, OnSettle: wk.OnSettle,
+		Retry: jobs.RetryPolicy{MaxAttempts: 1},
 	}), wpool)
 	worker := httptest.NewServer(wk.Handler())
 	fl := New(Config{Workers: []string{worker.URL}, Recorder: obs.NewRecorder()})
@@ -398,54 +422,5 @@ func TestFleetZipPastUploadCapMatchesStandalone(t *testing.T) {
 		if got := waitSettled(t, base, sc.ID); got.Status != "done" {
 			t.Errorf("%s: zip expanding to the cap settled %s (%s), want done", name, got.Status, got.Error)
 		}
-	}
-}
-
-// TestWorkerJournalReadsHeadInlineFormat: a worker journal written
-// before blob records, its dispatch_started payload carrying the files
-// inline, replays to the result a dispatch of the same bytes gets.
-func TestWorkerJournalReadsHeadInlineFormat(t *testing.T) {
-	t.Parallel()
-	// The dispatch_started payload's shape before blob records.
-	type headFile struct {
-		Path    string `json:"path"`
-		Content []byte `json:"content"`
-	}
-	type headDispatch struct {
-		ScanID  string     `json:"scan_id"`
-		Attempt int        `json:"attempt"`
-		Name    string     `json:"name"`
-		Tool    string     `json:"tool"`
-		Profile string     `json:"profile"`
-		Files   []headFile `json:"files"`
-	}
-	src := vulnerablePHP + "$v\xff = $_GET['v']; echo $v\xff; // \xfe\n"
-	raw, _ := json.Marshal(headDispatch{
-		ScanID: "head-open", Attempt: 1, Name: "head", Tool: "phpsafe",
-		Files: []headFile{{Path: "index.php", Content: []byte(src)}},
-	})
-	dir := t.TempDir()
-	writeWorkerJournal(t, dir, durable.Record{Type: durable.RecDispatchStarted, ScanID: "head-open", Attempt: 1, Payload: raw})
-
-	wk, records, _, url := restartWorker(t, dir)
-	if n := wk.Replay(records); n != 1 {
-		t.Fatalf("Replay = %d, want 1", n)
-	}
-	replayed := waitSettled(t, url, workerScanOf(t, url, "head-open"))
-	if replayed.Status != "done" {
-		t.Fatalf("replayed dispatch = %s (%s), want done", replayed.Status, replayed.Error)
-	}
-
-	fresh := newWorker(t)
-	status, view := dispatch(t, fresh.URL, request("head-fresh", "head", "index.php", src))
-	if status != http.StatusAccepted {
-		t.Fatalf("fresh dispatch = HTTP %d, want 202", status)
-	}
-	live := waitSettled(t, fresh.URL, view.ID)
-	if !bytes.Equal(replayed.Result, live.Result) {
-		t.Errorf("replayed result differs from a fresh dispatch:\nreplayed: %s\nfresh:    %s", replayed.Result, live.Result)
-	}
-	if !bytes.Contains(live.Result, []byte("\\ufffd")) {
-		t.Errorf("result %s does not carry the raw bytes", live.Result)
 	}
 }

@@ -32,14 +32,13 @@ func newIncWorker(t *testing.T, mutate func(*server.Config)) *httptest.Server {
 		t.Fatal(err)
 	}
 	pool := jobs.New(jobs.Config{Workers: 2, QueueSize: 32, Recorder: rec})
-	wk := NewWorker(WorkerConfig{Recorder: rec})
+	wk := NewWorker(WorkerConfig{})
 	cfg := server.Config{
 		Pool:     pool,
 		Cache:    scancache.New(1<<20, rec),
 		Recorder: rec,
 		IncStore: store,
 		Retry:    jobs.RetryPolicy{MaxAttempts: 1},
-		OnSettle: wk.OnSettle,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -166,25 +165,23 @@ func withParkedEngine(cfg *server.Config) {
 	}
 }
 
-// workerScanOf waits until worker carries coordinator scan coordID and
-// returns the local scan id.
+// workerScanOf waits until worker holds coordinator scan coordID,
+// which it names by the coordinator's id, and returns that id.
 func workerScanOf(t *testing.T, worker, coordID string) string {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(worker + "/internal/v1/inflight?scan=" + coordID)
+		resp, err := http.Get(worker + "/v1/scans/" + coordID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e inflightEntry
-		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if err == nil && e.WorkerScanID != "" {
-			return e.WorkerScanID
+		if resp.StatusCode == http.StatusOK {
+			return coordID
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("worker %s never carried scan %s", worker, coordID)
+	t.Fatalf("worker %s never held scan %s", worker, coordID)
 	return ""
 }
 

@@ -134,19 +134,18 @@ func TestFleetFlapDamping(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Hedged dispatch.
 
-// newFullWorker boots a worker through the Worker type (OnSettle wired,
-// in-flight table live), optionally behind middleware.
+// newFullWorker boots a worker with two pool slots, optionally behind
+// middleware.
 func newFullWorker(t *testing.T, wrap func(http.Handler) http.Handler) (*httptest.Server, *Worker) {
 	t.Helper()
 	rec := obs.NewRecorder()
 	pool := jobs.New(jobs.Config{Workers: 2, QueueSize: 32, Recorder: rec})
-	wk := NewWorker(WorkerConfig{Recorder: rec})
+	wk := NewWorker(WorkerConfig{})
 	api := server.New(server.Config{
 		Pool:     pool,
 		Cache:    scancache.New(1<<20, rec),
 		Recorder: rec,
 		Retry:    jobs.RetryPolicy{MaxAttempts: 1},
-		OnSettle: wk.OnSettle,
 	})
 	wk.Bind(api, pool)
 	h := wk.Handler()
@@ -312,15 +311,16 @@ func TestFleetHedgeDelay(t *testing.T) {
 // Adoption.
 
 // TestFleetAdoptionAttachesToWorkerScan: a resubmitted dispatch whose
-// scan id is still in a worker's in-flight table attaches to that scan
-// (adopted event, adoption counter) instead of dispatching again; a
-// resubmitted scan nobody carries falls through to a fresh dispatch.
+// scan id a worker still holds (GET /v1/scans/{id} answers) attaches to
+// that scan (adopted event, adoption counter) instead of dispatching
+// again; a resubmitted scan no worker holds falls through to a fresh
+// dispatch.
 func TestFleetAdoptionAttachesToWorkerScan(t *testing.T) {
 	t.Parallel()
 	ws, _ := newFullWorker(t, nil)
 
-	// Seed the worker's dispatch table directly, as a pre-restart
-	// coordinator would have.
+	// Dispatch to the worker directly, as a pre-restart coordinator
+	// would have.
 	body, _ := encodeDispatch(&server.DispatchRequest{
 		ScanID: "coord-adopt-1", Attempt: 2, Name: "adoptee",
 		Target: &analyzer.Target{Files: []analyzer.SourceFile{{Path: "adoptee.php", Content: vulnerablePHP}}},
@@ -634,184 +634,5 @@ func TestMemberJournalRoundTrip(t *testing.T) {
 	members := MembersFromRecords(records)
 	if len(members) != 1 || members[0] != "http://joined:1" {
 		t.Fatalf("MembersFromRecords = %v, want [http://joined:1]", members)
-	}
-}
-
-// startedRecord returns a one-file dispatch for scan and the journal
-// records of its acceptance: its blob, then dispatch_started.
-func startedRecord(t *testing.T, scan string) (*server.DispatchRequest, []durable.Record) {
-	t.Helper()
-	req := &server.DispatchRequest{
-		ScanID: scan, Attempt: 1, Name: scan, Tool: "phpsafe",
-		Target: &analyzer.Target{Name: scan, Files: []analyzer.SourceFile{{Path: "index.php", Content: vulnerablePHP + "// " + scan + "\n"}}},
-	}
-	spec := submitSpec(req)
-	spec.Target.HashFiles()
-	blobs, started := journalStarted(scan, 1, spec, nil)
-	return req, append(blobs, started)
-}
-
-// writeWorkerJournal writes a crashed worker's dispatch journal into dir.
-func writeWorkerJournal(t *testing.T, dir string, records ...durable.Record) {
-	t.Helper()
-	jrnl, _, err := durable.Open(dir, durable.Options{Logger: quietTestLogger()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range records {
-		if err := jrnl.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jrnl.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// restartWorker reopens the dispatch journal in dir and binds a worker
-// journaling into it to a fresh server stack behind an httptest server.
-// It returns the worker, the records to replay, the stack's recorder
-// and the server's URL.
-func restartWorker(t *testing.T, dir string) (*Worker, []durable.Record, *obs.Recorder, string) {
-	t.Helper()
-	jrnl, records, err := durable.Open(dir, durable.Options{Logger: quietTestLogger()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder()
-	pool := jobs.New(jobs.Config{Workers: 2, QueueSize: 32, Recorder: rec})
-	wk := NewWorker(WorkerConfig{Journal: jrnl, Recorder: rec, Logger: quietTestLogger()})
-	api := server.New(server.Config{
-		Pool:     pool,
-		Cache:    scancache.New(1<<20, rec),
-		Recorder: rec,
-		Retry:    jobs.RetryPolicy{MaxAttempts: 1},
-		OnSettle: wk.OnSettle,
-	})
-	wk.Bind(api, pool)
-	ts := httptest.NewServer(wk.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		pool.Shutdown(ctx)
-		jrnl.Close()
-	})
-	return wk, records, rec, ts.URL
-}
-
-// TestWorkerJournalReplay: a worker restarted on its own dispatch
-// journal resubmits exactly the dispatches whose records were never
-// closed, re-owns them under the same coordinator scan id (so a
-// reconciling coordinator adopts the replacement), and closes their
-// journal records when they settle. Already-settled dispatches are not
-// replayed and not resurrected into the in-flight table.
-func TestWorkerJournalReplay(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-
-	// Write the pre-crash history by hand: two dispatches started, one
-	// settled. The crashed worker never closed wjr-open.
-	_, open := startedRecord(t, "wjr-open")
-	_, done := startedRecord(t, "wjr-done")
-	raw, _ := json.Marshal(settlePayload{State: "done", WorkerScanID: "w-local-1"})
-	writeWorkerJournal(t, dir, append(append(open, done...),
-		durable.Record{Type: durable.RecDispatchSettled, ScanID: "wjr-done", Payload: raw})...)
-
-	// Restart: reopen the journal, build the worker stack, replay.
-	wk, records, rec, url := restartWorker(t, dir)
-	if n := wk.Replay(records); n != 1 {
-		t.Fatalf("Replay = %d, want 1 (only the unsettled dispatch)", n)
-	}
-	if got := rec.Counter("fleet_worker_replayed_total").Value(); got != 1 {
-		t.Errorf("fleet_worker_replayed_total = %d, want 1", got)
-	}
-
-	// The settled dispatch stays settled: not carried for adoption.
-	resp, err := http.Get(url + "/internal/v1/inflight?scan=wjr-done")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("inflight?scan=wjr-done = HTTP %d, want 404 (settled dispatches are not replayed)", resp.StatusCode)
-	}
-
-	// The open dispatch was re-accepted under its coordinator id and
-	// runs to completion.
-	deadline := time.Now().Add(10 * time.Second)
-	var entry inflightEntry
-	for {
-		resp, err := http.Get(url + "/internal/v1/inflight?scan=wjr-open")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			t.Fatalf("inflight?scan=wjr-open = HTTP %d, want 200 (replayed dispatch must be carried)", resp.StatusCode)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&entry)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if settledDispatchState(entry.State) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replayed dispatch never settled; state=%q", entry.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if entry.State != "done" {
-		t.Fatalf("replayed dispatch settled %q, want done", entry.State)
-	}
-	if entry.WorkerScanID == "" {
-		t.Fatal("replayed dispatch has no local scan id")
-	}
-
-	// The settle closed the journal record: a second restart replays
-	// nothing.
-	if err := wk.cfg.Journal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wk2, records2, _, _ := restartWorker(t, dir)
-	if n := wk2.Replay(records2); n != 0 {
-		t.Errorf("second Replay = %d, want 0 (all records closed)", n)
-	}
-}
-
-// TestWorkerJournalReplayCacheHit: a replayed dispatch whose content
-// the worker's scan cache already holds settles synchronously inside
-// Accept, before its table entry exists. Its journal record must still
-// be closed, so the next restart replays nothing.
-func TestWorkerJournalReplayCacheHit(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	req, started := startedRecord(t, "wjc-hit")
-	writeWorkerJournal(t, dir, started...)
-	wk, records, rec, url := restartWorker(t, dir)
-
-	// Pre-warm the cache with the same submission, outside the table.
-	warmID, status, _ := wk.api.Accept(submitSpec(req))
-	if status != http.StatusAccepted {
-		t.Fatalf("pre-warm Accept = HTTP %d, want 202", status)
-	}
-	if got := waitSettled(t, url, warmID); got.Status != "done" {
-		t.Fatalf("pre-warm scan settled %q, want done", got.Status)
-	}
-
-	if n := wk.Replay(records); n != 1 {
-		t.Fatalf("Replay = %d, want 1", n)
-	}
-	if got := rec.Counter("scans_served_from_cache_total").Value(); got != 1 {
-		t.Fatalf("scans_served_from_cache_total = %d, want 1 (replay must be a cache hit)", got)
-	}
-	if err := wk.cfg.Journal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wk2, records2, _, _ := restartWorker(t, dir)
-	if n := wk2.Replay(records2); n != 0 {
-		t.Errorf("second Replay = %d, want 0 (the cache-hit replay closed its record)", n)
 	}
 }

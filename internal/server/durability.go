@@ -440,16 +440,28 @@ func (s *Server) handleRetry(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusConflict, fmt.Sprintf("identical content is already in flight as scan %s", id))
 		return
 	}
+	status, body := s.reacceptLocked(sc, "manual retry")
+	s.writeJSON(w, status, body)
+}
+
+// reacceptLocked re-accepts settled scan sc, whose content is not in
+// flight, with a fresh attempt budget: a new pool job and a fresh
+// accepted record, which durable.Fold folds into a reopened scan. how
+// labels the queued event. It returns the HTTP status and body to
+// answer with: 202 and the scan's view, or an error envelope when the
+// pool refuses the job (sc then keeps its settled record). Caller holds
+// s.mu, which is released.
+func (s *Server) reacceptLocked(sc *scan, how string) (int, any) {
 	if sc.Engine == nil {
-		// Quarantined scans rehydrated by replay carry no engine.
+		// Scans rehydrated by replay carry no engine.
 		engine, _, err := s.engine(sc.Tool, sc.Profile)
 		if err != nil {
 			s.mu.Unlock()
-			s.error(w, http.StatusInternalServerError, err.Error())
-			return
+			return http.StatusInternalServerError, errorBody(err.Error())
 		}
 		sc.Engine = engine
 	}
+	settled := *sc
 	sc.State = stateQueued
 	sc.Attempts = 0
 	sc.Err = ""
@@ -462,8 +474,6 @@ func (s *Server) handleRetry(w http.ResponseWriter, r *http.Request) {
 	s.active[sc.Key] = sc.ID
 	s.mu.Unlock()
 
-	// A fresh accepted record resets the journaled attempt budget
-	// (Fold folds re-acceptance into a reopened scan).
 	s.journalMu.Lock()
 	err := s.cfg.Pool.SubmitJob(s.scanJob(sc, 0))
 	if err == nil {
@@ -472,27 +482,26 @@ func (s *Server) handleRetry(w http.ResponseWriter, r *http.Request) {
 	s.journalMu.Unlock()
 	if err != nil {
 		s.mu.Lock()
-		sc.State = stateQuarantined
+		*sc = settled
 		delete(s.active, sc.Key)
 		s.mu.Unlock()
 		switch err {
 		case jobs.ErrQueueFull:
-			s.error(w, http.StatusTooManyRequests, "scan queue is full, retry later")
+			return http.StatusTooManyRequests, errorBody("scan queue is full, retry later")
 		case jobs.ErrClosed:
-			s.error(w, http.StatusServiceUnavailable, "daemon is shutting down")
+			return http.StatusServiceUnavailable, errorBody("daemon is shutting down")
 		default:
-			s.error(w, http.StatusInternalServerError, err.Error())
+			return http.StatusInternalServerError, errorBody(err.Error())
 		}
-		return
 	}
 	s.rec.Counter("scans_retry_requests_total").Inc()
-	s.recordEvent(obs.Event{Scan: sc.ID, Type: evRetryRequest, Detail: "quarantined scan resubmitted with fresh budget"})
-	s.recordEvent(obs.Event{Scan: sc.ID, Type: evQueued, Detail: "manual retry"})
-	s.log.Info("quarantined scan resubmitted", "scan_id", sc.ID)
+	s.recordEvent(obs.Event{Scan: sc.ID, Type: evRetryRequest, Detail: string(settled.State) + " scan resubmitted with fresh budget"})
+	s.recordEvent(obs.Event{Scan: sc.ID, Type: evQueued, Detail: how})
+	s.log.Info("settled scan resubmitted", "scan_id", sc.ID, "state", string(settled.State), "how", how)
 	s.mu.Lock()
 	view := sc.viewLocked()
 	s.mu.Unlock()
-	s.writeJSON(w, http.StatusAccepted, view)
+	return http.StatusAccepted, view
 }
 
 // handleLivez is pure liveness: if the process can answer, it is live.

@@ -168,10 +168,9 @@ type Config struct {
 	// into 503; detail is embedded under the "fleet" key.
 	FleetStatus func() (detail any, ready bool)
 	// OnSettle, when set, fires after every live terminal transition
-	// (done, cancelled, quarantined) with the scan id and final state.
-	// Fleet workers hook it to close their local dispatch journal
-	// records; replay-rehydrated settles (which happened in a previous
-	// process lifetime) do not fire it.
+	// (done, cancelled, quarantined) with the scan id and final state;
+	// replay-rehydrated settles (which happened in a previous process
+	// lifetime) do not fire it.
 	OnSettle func(scanID, state string)
 	// ExtraLiveRecords, when set, contributes additional records to
 	// every journal compaction's live set — state owned by a layer
@@ -196,9 +195,9 @@ type DispatchRequest struct {
 	Attempt int
 	// Resubmitted marks an attempt born from journal replay: the scan
 	// was accepted by a previous coordinator process and may already be
-	// running on a worker. A fleet dispatcher should reconcile with the
-	// workers' in-flight tables and adopt a live dispatch rather than
-	// start a duplicate one.
+	// running on a worker, which carries it under ScanID. A fleet
+	// dispatcher should ask the workers for that id and adopt a live
+	// scan rather than start a duplicate one.
 	Resubmitted bool
 	// Name, Tool, Profile and Opts identify the submission exactly as
 	// the worker must run it; Opts carries the coordinator-clamped
@@ -631,6 +630,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // it so file content arrives as raw bytes (never mangled through a
 // JSON string) and budgets arrive pre-clamped by the coordinator.
 type SubmitSpec struct {
+	// ID, when set, names the scan instead of a random id: a fleet
+	// worker accepts each dispatch under the coordinator's scan id, so
+	// the coordinator finds it there, and a restarted worker replays it
+	// under that id. It must pass CheckScanID. See Accept for how a
+	// submission naming a scan this server already holds is answered.
+	ID string
 	// Name labels the target (default "upload").
 	Name string
 	// Tool picks the engine (default "phpsafe").
@@ -655,10 +660,19 @@ func (s *Server) Submit(w http.ResponseWriter, spec SubmitSpec) {
 // Accept runs the full submission pipeline — cache fast path, in-flight
 // dedup, journaled acceptance — and returns the accepted (or joined)
 // scan id, the HTTP status a handler should answer with, and the
-// response body. Fleet workers call it directly so they learn the local
-// scan id a dispatch mapped to (the wire envelope only carries views).
-// id is "" when the submission was rejected outright.
+// response body. id is "" when the submission was rejected outright.
+//
+// A submission whose spec.ID names a scan this server holds is answered
+// from that scan: 202 and its view while it is queued or running (the
+// submission joins it), 200 and its result once done, and a failed,
+// cancelled or quarantined one is re-accepted under the same id with a
+// fresh attempt budget, as POST /v1/scans/{id}/retry does. Any other
+// submission takes the cache, in-flight-join or new-scan path, and a
+// new scan is named spec.ID when it is set.
 func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
+	if err := CheckScanID(spec.ID); err != nil {
+		return "", http.StatusBadRequest, errorBody(err.Error())
+	}
 	if spec.Name == "" {
 		spec.Name = unnamedTarget
 	}
@@ -686,12 +700,18 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	opts := s.effectiveBudgets(req.Opts)
 	key := scancache.Key(target, fmt.Sprintf("%s|%s|%s|%s|%s",
 		s.cfg.Fingerprint, req.Tool, req.Profile, engineFP, opts.BudgetKey()))
+	newID := spec.ID
+	if newID == "" {
+		newID = s.cfg.NewID()
+	} else if id, status, body, ok := s.acceptNamed(spec.ID); ok {
+		return id, status, body
+	}
 
 	// Fast path: the content has been scanned before.
 	if res, ok := s.cfg.Cache.Get(key); ok {
 		now := s.now()
 		sc := &scan{
-			ID: s.cfg.NewID(), State: stateDone, Tool: req.Tool, Profile: req.Profile,
+			ID: newID, State: stateDone, Tool: req.Tool, Profile: req.Profile,
 			Key: key, Cached: true, Created: now, Finished: now,
 			Target: target, Opts: opts, Result: res,
 		}
@@ -718,7 +738,7 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	}
 	now := s.now()
 	sc := &scan{
-		ID: s.cfg.NewID(), State: stateQueued, Tool: req.Tool, Profile: req.Profile,
+		ID: newID, State: stateQueued, Tool: req.Tool, Profile: req.Profile,
 		Key: key, Created: now, queuedAt: now, Target: target, Engine: engine, Opts: opts,
 	}
 	s.addScanLocked(sc)
@@ -768,6 +788,62 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 		"scan_id", sc.ID, "target", sc.Target.Name, "tool", sc.Tool,
 		"profile", sc.Profile, "files", len(sc.Target.Files))
 	return sc.ID, http.StatusAccepted, view
+}
+
+// acceptNamed answers a submission naming scan id when this server
+// holds that scan (see Accept); ok is false when it does not, or when
+// the scan is settled unsuccessfully and its content is in flight as
+// another scan, which the submission then joins on Accept's usual path.
+func (s *Server) acceptNamed(id string) (_ string, status int, body any, ok bool) {
+	s.mu.Lock()
+	sc, held := s.scans[id]
+	switch {
+	case !held:
+		s.mu.Unlock()
+		return "", 0, nil, false
+	case sc.State == stateQueued || sc.State == stateRunning:
+		view := sc.viewLocked()
+		s.mu.Unlock()
+		s.rec.Counter("scans_joined_inflight_total").Inc()
+		s.recordEvent(obs.Event{Scan: id, Type: evJoinedInflight, Detail: "submission naming the scan joined"})
+		return id, http.StatusAccepted, view, true
+	case sc.State == stateDone:
+		view := sc.viewLocked()
+		s.mu.Unlock()
+		return id, http.StatusOK, view, true
+	}
+	if _, inflight := s.active[sc.Key]; inflight {
+		s.mu.Unlock()
+		return "", 0, nil, false
+	}
+	status, body = s.reacceptLocked(sc, "submission naming the scan")
+	if status != http.StatusAccepted {
+		id = ""
+	}
+	return id, status, body, true
+}
+
+// maxScanIDLen bounds a caller-chosen scan id.
+const maxScanIDLen = 64
+
+// CheckScanID reports why id cannot name a scan, or nil when it can:
+// an empty id (Accept picks a random one), or at most 64 bytes of
+// [0-9A-Za-z._-] other than "." and "..". A caller-chosen id becomes a
+// registry key, a journal key and a URL path segment.
+func CheckScanID(id string) error {
+	if len(id) > maxScanIDLen {
+		return fmt.Errorf("scan id is %d bytes, past the %d-byte limit", len(id), maxScanIDLen)
+	}
+	if id == "." || id == ".." {
+		return fmt.Errorf("scan id %q is not a URL path segment", id)
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('0' <= c && c <= '9' || 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '.' || c == '_' || c == '-') {
+			return fmt.Errorf("scan id %q holds byte %#02x outside [0-9A-Za-z._-]", id, c)
+		}
+	}
+	return nil
 }
 
 // robustnessRetryError classifies a scan whose per-file analysis
@@ -918,6 +994,10 @@ func (s *Server) runScanAttempt(ctx context.Context, sc *scan) error {
 		} else {
 			r, aerr = sc.Engine.AnalyzeContext(scanCtx, sc.Target, sc.Opts)
 		}
+		// Text from non-UTF-8 source reaches the cache, the journal and
+		// every report as the worker's wire result would carry it, so a
+		// standalone daemon and a fleet write the same bytes.
+		r = r.ToValidUTF8()
 		if aerr == nil && r != nil && len(r.RobustnessFailures) > 0 {
 			// Crash-grade file failures fail the attempt (and are
 			// never cached): a retry may heal a transient crash.
