@@ -216,7 +216,7 @@ func TestCoordinatorRestartAdoptsInflight(t *testing.T) {
 				t.Fatalf("decoding scan %s: %v", id, err)
 			}
 			switch sc.Status {
-			case "done", "failed", "cancelled", "quarantined":
+			case "done", "cancelled", "quarantined":
 				return sc
 			}
 			time.Sleep(25 * time.Millisecond)

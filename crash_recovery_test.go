@@ -135,7 +135,7 @@ func TestCrashRecoveryAcrossSIGKILL(t *testing.T) {
 	}
 	settled := func(status string) bool {
 		switch status {
-		case "done", "failed", "cancelled", "quarantined":
+		case "done", "cancelled", "quarantined":
 			return true
 		}
 		return false

@@ -169,7 +169,7 @@ func TestFleetKillWorkerMidScan(t *testing.T) {
 				t.Fatalf("decoding scan %s: %v", id, err)
 			}
 			switch sc.Status {
-			case "done", "failed", "cancelled", "quarantined":
+			case "done", "cancelled", "quarantined":
 				return sc
 			}
 			time.Sleep(25 * time.Millisecond)

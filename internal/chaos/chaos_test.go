@@ -87,7 +87,7 @@ type scanView struct {
 
 func settledStatus(s string) bool {
 	switch s {
-	case "done", "failed", "cancelled", "quarantined":
+	case "done", "cancelled", "quarantined":
 		return true
 	}
 	return false

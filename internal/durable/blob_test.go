@@ -1,11 +1,14 @@
 package durable
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analyzer"
 	"repro/internal/obs"
@@ -201,6 +204,117 @@ func TestFileBlobsCopyOnlyWhatIsWritten(t *testing.T) {
 			if err != nil || files[0].Content != big {
 				t.Errorf("compacted blob does not resolve to the content: %v", err)
 			}
+		}
+	}
+}
+
+// blobLineContents covers every byte value, the empty blob, each
+// length mod 3, and contents longer than one base64 chunk.
+func blobLineContents() []string {
+	var all strings.Builder
+	for c := 0; c < 256; c++ {
+		all.WriteByte(byte(c))
+	}
+	contents := []string{"", "a", "ab", "abc", "abcd", "abcde", all.String(), "<?php echo $_GET['x'] & 1 > 0;\n"}
+	for c := 0; c < 256; c++ {
+		contents = append(contents, string(rune(c)), string([]byte{byte(c)}))
+	}
+	for _, n := range []int{3 << 10, 3<<10 + 1, 3<<10 + 2, 10000} {
+		contents = append(contents, strings.Repeat(all.String(), n/256+1)[:n])
+	}
+	return contents
+}
+
+// TestBlobLineMatchesMarshal: the direct blob-line writer writes the
+// bytes json.Marshal does, for content held by reference (as FileBlobs
+// builds it) or as decoded bytes (as replay returns it), and times with
+// and without nanoseconds, in UTC or not. Records it must leave to
+// json.Marshal are left to it.
+func TestBlobLineMatchesMarshal(t *testing.T) {
+	times := []time.Time{
+		{},
+		time.Date(2024, 3, 9, 10, 11, 12, 0, time.UTC),
+		time.Date(2024, 3, 9, 10, 11, 12, 123456789, time.UTC),
+		time.Date(2024, 3, 9, 10, 11, 12, 500, time.UTC),
+		time.Date(2024, 3, 9, 10, 11, 12, 120000000, time.FixedZone("", 5*3600+30*60)),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.FixedZone("", -23*3600-59*60)),
+	}
+	n := 0
+	for _, content := range blobLineContents() {
+		for i, tm := range times {
+			byRef := Record{Seq: uint64(n) * 7919, Type: RecBlob, Time: tm, Hash: analyzer.HashContent(content), content: content}
+			decoded := byRef
+			decoded.content, decoded.Blob = "", []byte(content)
+			for _, r := range []Record{byRef, decoded} {
+				direct, ok := encodeBlobLine(&r)
+				if !ok {
+					t.Fatalf("content %q, time %d: blob record left to json.Marshal", content, i)
+				}
+				want, err := marshalLine(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(direct, want) {
+					t.Fatalf("content %q, time %d:\n direct  %q\n marshal %q", content, i, direct, want)
+				}
+				n++
+			}
+		}
+	}
+
+	for name, r := range map[string]Record{
+		"year past 9999":   {Type: RecBlob, Hash: "h", Time: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), content: "x"},
+		"offset of a day":  {Type: RecBlob, Hash: "h", Time: time.Date(2024, 1, 1, 0, 0, 0, 0, time.FixedZone("", 24*3600)), content: "x"},
+		"hash to escape":   {Type: RecBlob, Hash: "a<b", content: "x"},
+		"no hash":          {Type: RecBlob, content: "x"},
+		"scan id":          {Type: RecBlob, Hash: "h", ScanID: "s", content: "x"},
+		"refs":             {Type: RecBlob, Hash: "h", Refs: []string{"h"}},
+		"not a blob":       {Type: RecAccepted, Hash: "h"},
+		"payload":          {Type: RecBlob, Hash: "h", Payload: []byte(`{}`)},
+		"worker and error": {Type: RecBlob, Hash: "h", Worker: "w", Error: "e"},
+	} {
+		if _, ok := encodeBlobLine(&r); ok {
+			t.Errorf("%s: written directly, want json.Marshal", name)
+		}
+		got, gotErr := encodeLine(r)
+		want, wantErr := marshalLine(r)
+		if (gotErr == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
+			t.Errorf("%s: encodeLine = %q, %v; marshalLine = %q, %v", name, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// TestBlobLinesReplayAfterCompaction: blobs appended by reference and
+// rewritten by Compact, from the records replay returned, resolve to
+// their content after a reopen.
+func TestBlobLinesReplayAfterCompaction(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir, Options{})
+	var files []analyzer.SourceFile
+	for i, content := range blobLineContents() {
+		files = append(files, analyzer.SourceFile{Path: fmt.Sprintf("f%d.php", i), Content: content})
+	}
+	target := &analyzer.Target{Files: files}
+	target.HashFiles()
+	blobs, refs, addrs := FileBlobs(target.Files, nil)
+	if err := j.Append(append(blobs, Record{Type: RecAccepted, ScanID: "s", Refs: addrs})...); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	j, recs := openT(t, dir, Options{})
+	if err := j.Compact(recs); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	_, recs = openT(t, dir, Options{})
+	got, err := IndexBlobs(recs).Files(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range got {
+		if f.Content != files[i].Content {
+			t.Fatalf("%s replays %q, want %q", f.Path, f.Content, files[i].Content)
 		}
 	}
 }

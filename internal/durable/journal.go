@@ -71,6 +71,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -78,6 +79,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -141,7 +143,7 @@ type Record struct {
 	Refs    []string        `json:"refs,omitempty"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 	// content is the file content of a blob record FileBlobs built;
-	// encodeLine copies it into Blob when the record is written.
+	// encodeLine encodes it from here when the record is written.
 	content string
 }
 
@@ -436,8 +438,17 @@ func parseLine(line []byte) (Record, bool) {
 	return r, true
 }
 
-// encodeLine renders a record as its CRC-guarded journal line.
+// encodeLine renders a record as its CRC-guarded journal line: a blob
+// record through encodeBlobLine, any other through json.Marshal.
 func encodeLine(r Record) ([]byte, error) {
+	if line, ok := encodeBlobLine(&r); ok {
+		return line, nil
+	}
+	return marshalLine(r)
+}
+
+// marshalLine renders a record through json.Marshal.
+func marshalLine(r Record) ([]byte, error) {
 	if r.Blob == nil && r.content != "" {
 		r.Blob = []byte(r.content)
 	}
@@ -445,11 +456,91 @@ func encodeLine(r Record) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	line := make([]byte, 0, len(body)+10)
-	line = append(line, fmt.Sprintf("%08x ", crc32.ChecksumIEEE(body))...)
+	line := make([]byte, 9, len(body)+10)
 	line = append(line, body...)
 	line = append(line, '\n')
+	frameLine(line)
 	return line, nil
+}
+
+// encodeBlobLine renders a blob record byte for byte as marshalLine
+// would, without reflection or a []byte copy of the content: the
+// fields in Record's tag order, the RFC 3339 time and the standard
+// base64 of the content, into one buffer sized up front. It reports
+// false for a record it leaves to marshalLine: one that is not a blob
+// or sets a field a blob never carries, a hash that needs escaping,
+// or a time encoding/json refuses.
+func encodeBlobLine(r *Record) ([]byte, bool) {
+	if r.Type != RecBlob || r.ScanID != "" || r.Attempt != 0 || r.Error != "" || r.BackoffMS != 0 ||
+		r.Worker != "" || len(r.Refs) != 0 || len(r.Payload) != 0 || !plainJSON(r.Hash) {
+		return nil, false
+	}
+	if y := r.Time.Year(); y < 0 || y > 9999 {
+		return nil, false
+	}
+	if _, off := r.Time.Zone(); off <= -24*3600 || off >= 24*3600 {
+		return nil, false
+	}
+	n := len(r.Blob)
+	if r.Blob == nil {
+		n = len(r.content)
+	}
+	const head, tail = `{"seq":`, `,"type":"blob","time":"`
+	size := 9 + len(head) + 20 + len(tail) + len(time.RFC3339Nano) + len(`","hash":"`) + len(r.Hash) +
+		len(`","blob":"`) + base64.StdEncoding.EncodedLen(n) + len(`"}`) + 1
+	line := make([]byte, 9, size)
+	line = append(line, head...)
+	line = strconv.AppendUint(line, r.Seq, 10)
+	line = append(line, tail...)
+	line = r.Time.AppendFormat(line, time.RFC3339Nano)
+	line = append(line, `","hash":"`...)
+	line = append(line, r.Hash...)
+	line = append(line, '"')
+	if n > 0 {
+		line = append(line, `,"blob":"`...)
+		if r.Blob != nil {
+			line = base64.StdEncoding.AppendEncode(line, r.Blob)
+		} else {
+			// Whole 3-byte groups encode without padding, so encoding
+			// the string a chunk at a time gives the bytes of encoding
+			// it at once.
+			var chunk [3 << 10]byte
+			for s := r.content; s != ""; {
+				k := copy(chunk[:], s)
+				line = base64.StdEncoding.AppendEncode(line, chunk[:k])
+				s = s[k:]
+			}
+		}
+		line = append(line, '"')
+	}
+	line = append(line, '}', '\n')
+	frameLine(line)
+	return line, true
+}
+
+// plainJSON reports whether s is non-empty and json.Marshal writes it
+// unescaped: printable ASCII other than the quote, the backslash and
+// the HTML-escaped <, > and &.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return s != ""
+}
+
+// frameLine fills the first nine bytes of line with the checksum of
+// the JSON between them and the trailing newline, as "%08x ".
+func frameLine(line []byte) {
+	const hex = "0123456789abcdef"
+	sum := crc32.ChecksumIEEE(line[9 : len(line)-1])
+	for i := 7; i >= 0; i-- {
+		line[i] = hex[sum&0xf]
+		sum >>= 4
+	}
+	line[8] = ' '
 }
 
 // Append journals records in order, assigning their sequence numbers
@@ -475,9 +566,8 @@ func (j *Journal) appendLocked(recs []Record) error {
 	if j.degraded {
 		return ErrDegraded
 	}
-	var buf []byte
 	written := make([]Record, 0, len(recs))
-	lens := make([]int64, 0, len(recs))
+	lines := make([][]byte, 0, len(recs))
 	var batchBlobs map[string]bool
 	deduped := int64(0)
 	seq := j.seq
@@ -501,13 +591,16 @@ func (j *Journal) appendLocked(recs []Record) error {
 		if err != nil {
 			return fmt.Errorf("durable: encoding record: %w", err)
 		}
-		buf = append(buf, line...)
 		written = append(written, r)
-		lens = append(lens, int64(len(line)))
+		lines = append(lines, line)
 	}
 	j.add("journal_blobs_deduped_total", deduped)
 	if len(written) == 0 {
 		return nil
+	}
+	buf := lines[0]
+	if len(lines) > 1 {
+		buf = bytes.Join(lines, nil)
 	}
 	if err := j.faultLocked("append", j.wal.Name()); err != nil {
 		return j.degradeLocked(err)
@@ -518,7 +611,7 @@ func (j *Journal) appendLocked(recs []Record) error {
 	j.seq = seq
 	j.walBytes += int64(len(buf))
 	for i, r := range written {
-		j.accountLocked(r, lens[i], false)
+		j.accountLocked(r, int64(len(lines[i])), false)
 	}
 	j.add("journal_appends_total", int64(len(written)))
 	j.add("journal_appended_bytes_total", int64(len(buf)))

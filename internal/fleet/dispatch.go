@@ -414,7 +414,7 @@ func settledView(owner string, view workerScanView) (*server.DispatchResult, err
 	switch view.Status {
 	case "done":
 		return &server.DispatchResult{Worker: owner, Result: view.Result, Inc: view.Inc}, nil
-	case "failed", "quarantined", "cancelled":
+	case "quarantined", "cancelled":
 		msg := view.Error
 		if msg == "" {
 			msg = "scan " + view.Status + " on worker"

@@ -135,7 +135,7 @@ func waitSettled(t *testing.T, base, id string) scanView {
 		t.Fatal(err)
 	}
 	switch sc.Status {
-	case "done", "failed", "cancelled", "quarantined":
+	case "done", "cancelled", "quarantined":
 		return sc
 	}
 	t.Fatalf("scan %s never settled (status %s)", id, sc.Status)

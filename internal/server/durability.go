@@ -354,7 +354,7 @@ func (s *Server) addScanLocked(sc *scan) {
 // settledState reports whether state needs no further execution.
 func settledState(st scanState) bool {
 	switch st {
-	case stateDone, stateFailed, stateCancelled, stateQuarantined:
+	case stateDone, stateCancelled, stateQuarantined:
 		return true
 	}
 	return false

@@ -54,18 +54,14 @@
 package server
 
 import (
-	"archive/zip"
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -245,7 +241,6 @@ const (
 	stateQueued      scanState = "queued"
 	stateRunning     scanState = "running"
 	stateDone        scanState = "done"
-	stateFailed      scanState = "failed"
 	stateCancelled   scanState = "cancelled"
 	stateQuarantined scanState = "quarantined"
 )
@@ -664,9 +659,9 @@ func (s *Server) Submit(w http.ResponseWriter, spec SubmitSpec) {
 //
 // A submission whose spec.ID names a scan this server holds is answered
 // from that scan: 202 and its view while it is queued or running (the
-// submission joins it), 200 and its result once done, and a failed,
-// cancelled or quarantined one is re-accepted under the same id with a
-// fresh attempt budget, as POST /v1/scans/{id}/retry does. Any other
+// submission joins it), 200 and its result once done, and a cancelled
+// or quarantined one is re-accepted under the same id with a fresh
+// attempt budget, as POST /v1/scans/{id}/retry does. Any other
 // submission takes the cache, in-flight-join or new-scan path, and a
 // new scan is named spec.ID when it is set.
 func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
@@ -1178,7 +1173,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch sc.State {
-	case stateDone, stateFailed, stateCancelled, stateQuarantined:
+	case stateDone, stateCancelled, stateQuarantined:
 		state := sc.State
 		s.mu.Unlock()
 		s.error(w, http.StatusConflict, fmt.Sprintf("scan is already %s", state))
@@ -1480,89 +1475,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	snap.WritePrometheus(w)
-}
-
-// parseSubmission decodes a POST /v1/scans body in either encoding.
-// The upload cap bounds both the body and the PHP content a zip body
-// expands to; either past it fails with *http.MaxBytesError (HTTP
-// 413). A fleet worker takes any dispatch whose content fits the same
-// cap, so a coordinator never accepts a submission its workers refuse.
-func (s *Server) parseSubmission(r *http.Request) (*submitRequest, error) {
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxUploadBytes)
-	defer body.Close()
-
-	req := &submitRequest{}
-	ct := r.Header.Get("Content-Type")
-	switch {
-	case ct == "application/zip" || ct == "application/x-zip-compressed":
-		data, err := io.ReadAll(body)
-		if err != nil {
-			return nil, fmt.Errorf("reading zip body: %w", err)
-		}
-		files, err := filesFromZip(data, s.cfg.MaxUploadBytes)
-		if err != nil {
-			return nil, err
-		}
-		req.Files = files
-		q := r.URL.Query()
-		req.Name, req.Tool, req.Profile = q.Get("name"), q.Get("tool"), q.Get("profile")
-		if packs := q.Get("packs"); packs != "" {
-			req.Profile = packs
-		}
-	default:
-		if err := json.NewDecoder(body).Decode(req); err != nil {
-			return nil, fmt.Errorf("decoding JSON body: %w", err)
-		}
-	}
-	if len(req.RulePacks) > 0 {
-		req.Profile = strings.Join(req.RulePacks, ",")
-	}
-	return req, nil
-}
-
-// filesFromMap converts a path→source map into sorted source files,
-// keeping only PHP paths (case-insensitive, like the directory
-// loader).
-func filesFromMap(m map[string]string) []analyzer.SourceFile {
-	files := make([]analyzer.SourceFile, 0, len(m))
-	for path, content := range m {
-		if !analyzer.IsPHPPath(path) {
-			continue
-		}
-		files = append(files, analyzer.SourceFile{Path: path, Content: content})
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
-	return files
-}
-
-// filesFromZip extracts the PHP members of a zip archive, refusing an
-// archive whose members expand past limit bytes together.
-func filesFromZip(data []byte, limit int64) (map[string]string, error) {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, fmt.Errorf("invalid zip: %w", err)
-	}
-	files := make(map[string]string)
-	left := limit
-	for _, f := range zr.File {
-		if f.FileInfo().IsDir() || !analyzer.IsPHPPath(f.Name) {
-			continue
-		}
-		rc, err := f.Open()
-		if err != nil {
-			return nil, fmt.Errorf("zip member %s: %w", f.Name, err)
-		}
-		content, err := io.ReadAll(io.LimitReader(rc, left+1))
-		rc.Close()
-		if err != nil {
-			return nil, fmt.Errorf("zip member %s: %w", f.Name, err)
-		}
-		if left -= int64(len(content)); left < 0 {
-			return nil, fmt.Errorf("zip members expand past the %d-byte upload cap: %w", limit, &http.MaxBytesError{Limit: limit})
-		}
-		files[f.Name] = string(content)
-	}
-	return files, nil
 }
 
 // writeJSON sends v with the given status.
