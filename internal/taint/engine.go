@@ -238,6 +238,9 @@ type analysis struct {
 	callDepth    int
 	// curCollector is the summary currently receiving parameter flows.
 	curCollector *summary
+	// argStack holds the evaluated arguments of the calls being
+	// evaluated, innermost last (see evalArgs).
+	argStack []*value
 
 	// curFile is the path of the file whose code is being walked.
 	curFile string

@@ -98,7 +98,7 @@ func (a *analysis) execStmt(s phpast.Stmt, sc *scope) {
 	case *phpast.Echo:
 		for _, arg := range st.Args {
 			v := a.eval(arg, sc)
-			a.checkSink("echo", analyzer.XSS, v, arg.Pos(), exprName(arg), sc)
+			a.checkSink("echo", analyzer.XSS, v, arg.Pos(), arg, sc)
 		}
 
 	case *phpast.Block:
@@ -201,11 +201,13 @@ func (a *analysis) execStmt(s phpast.Stmt, sc *scope) {
 // tainted. This is how the paper's mail-subscribe-list example flows:
 // $wpdb->get_results rows → foreach → echo $row->sml_name (§III.E).
 func (a *analysis) execForeach(st *phpast.Foreach, sc *scope) {
-	coll := a.eval(st.Expr, sc)
-	elem := coll.withStep(a.opts.MaxTraceDepth, analyzer.TraceStep{
-		File: a.curFile, Line: st.Pos(), Var: exprName(st.Value),
-		Note: "foreach element of " + exprName(st.Expr),
-	})
+	elem := a.eval(st.Expr, sc)
+	if elem.hasTaint() {
+		elem = elem.withStep(a.opts.MaxTraceDepth, analyzer.TraceStep{
+			File: a.curFile, Line: st.Pos(), Var: exprName(st.Value),
+			Note: "foreach element of " + exprName(st.Expr),
+		})
+	}
 	if st.Key != nil {
 		a.assignTo(st.Key, elem, sc, st.Pos())
 	}
@@ -265,7 +267,7 @@ func (a *analysis) eval(e phpast.Expr, sc *scope) *value {
 		if x.IsShell {
 			// The backtick operator executes its content as a shell
 			// command (command-injection sink).
-			a.checkSink("`shell`", analyzer.CmdInjection, v, x.Pos(), exprName(x), sc)
+			a.checkSink("`shell`", analyzer.CmdInjection, v, x.Pos(), x, sc)
 			return untainted()
 		}
 		return v
@@ -355,13 +357,13 @@ func (a *analysis) eval(e phpast.Expr, sc *scope) *value {
 
 	case *phpast.PrintExpr:
 		v := a.eval(x.X, sc)
-		a.checkSink("print", analyzer.XSS, v, x.Pos(), exprName(x.X), sc)
+		a.checkSink("print", analyzer.XSS, v, x.Pos(), x.X, sc)
 		return untainted()
 
 	case *phpast.ExitExpr:
 		if x.X != nil {
 			v := a.eval(x.X, sc)
-			a.checkSink("exit", analyzer.XSS, v, x.Pos(), exprName(x.X), sc)
+			a.checkSink("exit", analyzer.XSS, v, x.Pos(), x.X, sc)
 		}
 		return untainted()
 
@@ -410,9 +412,11 @@ func (a *analysis) evalAssign(x *phpast.Assign, sc *scope) *value {
 		a.eval(x.LHS, sc)
 		v = toNumeric()
 	}
-	v = v.withStep(a.opts.MaxTraceDepth, analyzer.TraceStep{
-		File: a.curFile, Line: x.Pos(), Var: exprName(x.LHS), Note: "assigned",
-	})
+	if v.hasTaint() {
+		v = v.withStep(a.opts.MaxTraceDepth, analyzer.TraceStep{
+			File: a.curFile, Line: x.Pos(), Var: exprName(x.LHS), Note: "assigned",
+		})
+	}
 	a.assignTo(x.LHS, v, sc, x.Pos())
 	return v
 }
@@ -511,7 +515,7 @@ func (a *analysis) readProperty(x *phpast.PropertyFetch, sc *scope) *value {
 	}
 	// Unknown object: a property of a tainted value (a database row
 	// object, for example) is tainted.
-	if len(objVal.taints) > 0 || objVal.hasParamDeps() || len(objVal.latent) > 0 {
+	if objVal.hasTaint() || objVal.hasParamDeps() || objVal.latent != nil {
 		return objVal.withStep(a.opts.MaxTraceDepth, analyzer.TraceStep{
 			File: a.curFile, Line: x.Pos(), Var: exprName(x),
 			Note: "property of tainted object",
@@ -537,7 +541,7 @@ func (a *analysis) writeProperty(x *phpast.PropertyFetch, v *value, sc *scope) {
 // file-inclusion sink.
 func (a *analysis) execInclude(x *phpast.IncludeExpr, sc *scope) {
 	pathVal := a.eval(x.Path, sc)
-	a.checkSink("include", analyzer.FileInclusion, pathVal, x.Pos(), exprName(x.Path), sc)
+	a.checkSink("include", analyzer.FileInclusion, pathVal, x.Pos(), x.Path, sc)
 	path, ok := a.resolveIncludePath(a.curFile, x.Path)
 	if !ok || a.includeStack[path] {
 		return

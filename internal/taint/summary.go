@@ -140,7 +140,7 @@ func (a *analysis) instantiate(sum *summary, args []*value, displayName string, 
 			continue
 		}
 		arg := args[flow.param]
-		t, ok := arg.taints[flow.class]
+		t, ok := arg.taints.get(flow.class)
 		if !ok {
 			continue
 		}
@@ -159,10 +159,10 @@ func (a *analysis) instantiate(sum *summary, args []*value, displayName string, 
 			continue
 		}
 		arg := args[flow.param]
-		for outerParam, classes := range arg.params {
-			if classes[flow.class] {
+		for _, outer := range arg.params {
+			if outer.classes.has(flow.class) {
 				a.recordFlow(a.curCollector, sinkFlow{
-					param:    outerParam,
+					param:    outer.param,
 					class:    flow.class,
 					sink:     flow.sink,
 					file:     flow.file,
@@ -189,33 +189,29 @@ func (a *analysis) substituteParams(ret *value, args []*value, displayName strin
 	out := ret.clone()
 	deps := out.params
 	out.params = nil
-	for i, classes := range deps {
-		if i >= len(args) || args[i] == nil {
+	var step analyzer.TraceStep // built on first use
+	for _, dep := range deps {
+		if dep.param >= len(args) || args[dep.param] == nil {
 			continue
 		}
-		arg := args[i]
-		for c := range classes {
-			if t, ok := arg.taints[c]; ok {
-				if out.taints == nil {
-					out.taints = make(map[analyzer.VulnClass]*taintInfo, 2)
-				}
-				if _, exists := out.taints[c]; !exists {
-					out.taints[c] = t.withStep(a.opts.MaxTraceDepth, analyzer.TraceStep{
+		arg := args[dep.param]
+		for vc := analyzer.VulnClass(1); int(vc) <= numClasses; vc++ {
+			if !dep.classes.has(vc) {
+				continue
+			}
+			if t, ok := arg.taints.get(vc); ok && !out.taints.set.has(vc) {
+				if step.Var == "" {
+					step = analyzer.TraceStep{
 						File: a.curFile, Line: line, Var: displayName + "()",
 						Note: "returned from " + displayName,
-					})
+					}
 				}
+				out.taints.put(vc, t.withStep(a.opts.MaxTraceDepth, step))
 			}
 			// Keep outer-parameter dependencies flowing through.
-			for outerParam, outerClasses := range arg.params {
-				if outerClasses[c] {
-					if out.params == nil {
-						out.params = make(paramDep, 2)
-					}
-					if out.params[outerParam] == nil {
-						out.params[outerParam] = make(map[analyzer.VulnClass]bool, 2)
-					}
-					out.params[outerParam][c] = true
+			for _, outer := range arg.params {
+				if outer.classes.has(vc) {
+					out.params.add(outer.param, classBit(vc))
 				}
 			}
 		}
@@ -272,33 +268,35 @@ func (a *analysis) callConcrete(key, file string, class *classInfo,
 // checkSink inspects a value reaching a native sink (echo, backticks,
 // include) whose CWE/severity metadata is the class default.
 func (a *analysis) checkSink(sinkName string, class analyzer.VulnClass,
-	v *value, line int, varName string, sc *scope) {
-	a.checkSinkMeta(sinkName, class, v, line, varName, sc, 0, "")
+	v *value, line int, varExpr phpast.Expr, sc *scope) {
+	a.checkSinkMeta(sinkName, class, v, line, varExpr, sc, 0, "")
 }
 
 // checkSinkMeta inspects a value reaching a sink. Active taint of the
 // sink's class yields a finding; in summary mode, parameter dependence
-// records a flow for call-site instantiation. cwe/severity carry the
-// sink rule's metadata (zero/empty = class defaults).
+// records a flow for call-site instantiation. varExpr is the expression
+// that reached the sink, named (exprName) only when something is
+// reported. cwe/severity carry the sink rule's metadata (zero/empty =
+// class defaults).
 func (a *analysis) checkSinkMeta(sinkName string, class analyzer.VulnClass,
-	v *value, line int, varName string, sc *scope, cwe int, severity string) {
+	v *value, line int, varExpr phpast.Expr, sc *scope, cwe int, severity string) {
 	a.stats.sinkChecks++
 	if v == nil {
 		return
 	}
-	if t, ok := v.taints[class]; ok {
-		a.report(sinkName, class, a.curFile, line, varName, t, cwe, severity)
+	if t, ok := v.taints.get(class); ok {
+		a.report(sinkName, class, a.curFile, line, exprName(varExpr), t, cwe, severity)
 	}
 	if sc.collector != nil {
-		for param, classes := range v.params {
-			if classes[class] {
+		for _, dep := range v.params {
+			if dep.classes.has(class) {
 				a.recordFlow(sc.collector, sinkFlow{
-					param:    param,
+					param:    dep.param,
 					class:    class,
 					sink:     sinkName,
 					file:     a.curFile,
 					line:     line,
-					variable: varName,
+					variable: exprName(varExpr),
 					cwe:      cwe,
 					severity: severity,
 				})

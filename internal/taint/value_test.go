@@ -42,8 +42,8 @@ func TestMergeUnionsTaint(t *testing.T) {
 		t.Error("merge mutated its inputs")
 	}
 	// Vector of the first taint wins for provenance.
-	if m.taints[analyzer.XSS].vector != analyzer.VectorGET {
-		t.Errorf("XSS vector = %v", m.taints[analyzer.XSS].vector)
+	if xt, _ := m.taints.get(analyzer.XSS); xt.vector != analyzer.VectorGET {
+		t.Errorf("XSS vector = %v", xt.vector)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestSanitizeMovesToLatentAndRevertRestores(t *testing.T) {
 	if !s.isTainted(analyzer.XSS) {
 		t.Fatal("sanitize cleared the wrong class")
 	}
-	if len(s.latent) != 1 {
+	if s.latent == nil || len(s.latent.set.list()) != 1 || !s.latent.set.has(analyzer.SQLi) {
 		t.Fatalf("latent = %v, want the sanitized taint", s.latent)
 	}
 	if len(s.filters) != 1 || s.filters[0] != "addslashes" {
@@ -93,7 +93,7 @@ func TestSanitizeMovesToLatentAndRevertRestores(t *testing.T) {
 	if !r.isTainted(analyzer.SQLi) || !r.isTainted(analyzer.XSS) {
 		t.Fatalf("revert did not restore taint: %v", r.taintedClasses())
 	}
-	if len(r.latent) != 0 {
+	if r.latent != nil {
 		t.Fatalf("latent should drain on revert: %v", r.latent)
 	}
 }
@@ -105,10 +105,10 @@ func TestParamDependencies(t *testing.T) {
 		t.Fatal("param value should have deps")
 	}
 	s := p.sanitize([]analyzer.VulnClass{analyzer.XSS}, "esc_html")
-	if s.params[0][analyzer.XSS] {
+	if s.params[0].param != 0 || s.params[0].classes.has(analyzer.XSS) {
 		t.Error("sanitize should clear the class from param deps")
 	}
-	if !s.params[0][analyzer.SQLi] {
+	if !s.params[0].classes.has(analyzer.SQLi) {
 		t.Error("sanitize cleared too much")
 	}
 	s2 := s.sanitize(analyzer.Classes(), "intval")
@@ -124,7 +124,8 @@ func TestTraceBounding(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		v = v.withStep(limit, analyzer.TraceStep{File: "f.php", Line: i + 2, Var: "$x"})
 	}
-	trace := v.taints[analyzer.XSS].trace
+	xt, _ := v.taints.get(analyzer.XSS)
+	trace := xt.trace
 	if len(trace) > limit {
 		t.Fatalf("trace length = %d, want <= %d", len(trace), limit)
 	}
@@ -152,12 +153,12 @@ func TestCloneIndependence(t *testing.T) {
 	v.filters = []string{"a"}
 	c := v.clone()
 	c.filters = append(c.filters, "b")
-	delete(c.taints, analyzer.XSS)
+	c.taints.del(analyzer.XSS)
 	if len(v.filters) != 1 || !v.isTainted(analyzer.XSS) {
 		t.Fatal("clone aliases its source")
 	}
 	var nilVal *value
-	if nilVal.clone() == nil {
+	if c := nilVal.clone(); c == nil || c == untainted() {
 		t.Fatal("clone of nil should produce a fresh value")
 	}
 }
@@ -269,5 +270,19 @@ func TestMergeAll(t *testing.T) {
 	}
 	if got := mergeAll(); got == nil || got.isTainted(analyzer.XSS) {
 		t.Error("empty mergeAll should be untainted")
+	}
+}
+
+// TestClassSetCoversEveryClass pins the fixed-size class arrays to the
+// analyzer's class list: a class added past OpenRedirect must grow them.
+func TestClassSetCoversEveryClass(t *testing.T) {
+	t.Parallel()
+	for _, c := range analyzer.Classes() {
+		if c < 1 || int(c) > numClasses || !allClasses.has(c) {
+			t.Errorf("class %v (%d) is outside the taint set's %d slots", c, int(c), numClasses)
+		}
+	}
+	if got := allClasses.list(); len(got) != len(analyzer.Classes()) {
+		t.Errorf("allClasses = %v, want %v", got, analyzer.Classes())
 	}
 }
