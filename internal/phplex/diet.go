@@ -82,12 +82,28 @@ func NewInterner() *Interner {
 }
 
 // Lower returns the canonical lowercase form of s, interned. A nil
-// interner still folds case, it just doesn't deduplicate.
+// interner still folds case, it just doesn't deduplicate. A name that
+// is already interned costs no allocation, whatever its case: a short
+// name is folded into a stack buffer for the lookup.
 func (in *Interner) Lower(s string) string {
-	low := LowerASCII(s)
 	if in == nil {
-		return low
+		return LowerASCII(s)
 	}
+	var buf [64]byte
+	if len(s) <= len(buf) {
+		b := buf[:len(s)]
+		for i := 0; i < len(s); i++ {
+			c := s[i]
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			b[i] = c
+		}
+		if got, ok := in.m[string(b)]; ok {
+			return got
+		}
+	}
+	low := LowerASCII(s)
 	if got, ok := in.m[low]; ok {
 		return got
 	}

@@ -1,6 +1,7 @@
 package phplex
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/phptoken"
@@ -74,5 +75,24 @@ func TestPutTokensRoundTrip(t *testing.T) {
 	}
 	if again[len(again)-1].Kind != phptoken.EOF {
 		t.Error("stream does not end in EOF")
+	}
+}
+
+// TestInternerHitDoesNotAllocate checks that looking up an interned name
+// allocates nothing, whatever case it is spelled in.
+func TestInternerHitDoesNotAllocate(t *testing.T) {
+	in := NewInterner()
+	for _, s := range []string{"WP_Query", "wp_query", "Mail_Subscribe"} {
+		in.Lower(s)
+		if n := testing.AllocsPerRun(10, func() { in.Lower(s) }); n != 0 {
+			t.Errorf("Lower(%q) on a hit: %v allocations, want 0", s, n)
+		}
+	}
+	if got := in.Lower("WP_QUERY"); got != "wp_query" {
+		t.Errorf("Lower(WP_QUERY) = %q", got)
+	}
+	long := strings.Repeat("Ab", 40)
+	if got := in.Lower(long); got != strings.ToLower(long) {
+		t.Errorf("Lower of a long name = %q", got)
 	}
 }

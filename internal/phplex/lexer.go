@@ -6,6 +6,11 @@
 // inline HTML segments, line numbers, interpolated string parts and
 // heredocs, so the downstream model-construction stage can be implemented
 // exactly as the paper describes.
+//
+// The scanner returns only a token's kind and leaves its extent in the
+// lexer (src[start:pos]); a Token value is built only for the tokens a
+// caller keeps, and its line is counted only then, over the bytes since
+// the last token that was kept.
 package phplex
 
 import (
@@ -35,9 +40,14 @@ const (
 // Lexer converts PHP source text into a stream of tokens.
 // The zero value is not usable; construct with New.
 type Lexer struct {
-	src  string
-	pos  int
-	line int
+	src string
+	// pos is the cursor; start is where the token scan last lexed begins.
+	pos, start int
+
+	// line is the 1-based line of byte offset lineOff. lineAt moves both
+	// forward when a token's line is asked for, so lines are counted only
+	// for the tokens that are built, and each byte at most once.
+	line, lineOff int
 
 	mode mode
 	// curlyDepth tracks brace nesting while lexing a {$...} interpolation
@@ -51,7 +61,7 @@ type Lexer struct {
 
 // New returns a Lexer over src. Lexing starts in HTML mode, as PHP does.
 func New(src string) *Lexer {
-	return &Lexer{src: src, pos: 0, line: 1, mode: modeHTML}
+	return &Lexer{src: src, line: 1, mode: modeHTML}
 }
 
 // Tokenize lexes src completely and returns all tokens, including trivia
@@ -73,17 +83,18 @@ func Tokenize(src string) []phptoken.Token {
 
 // TokenizeCode lexes src and returns only syntactically meaningful tokens
 // (trivia removed), matching phpSAFE's cleaned AST input (paper §III.B).
-// The stream is filtered in a single pass straight into a pooled buffer;
-// callers that are done with the stream may return it with PutTokens.
+// Trivia is scanned but never built into tokens, and the stream goes
+// straight into a pooled buffer; callers that are done with the stream
+// may return it with PutTokens.
 //
 // A non-nil recorder records lexing cost: tokens lexed (trivia
 // included) into lex_tokens_total, source lines into lex_lines_total,
 // and lex time under parent as a "lex" span observed into the
 // stage_lex_seconds histogram. A non-nil governor adds a checkpoint per
-// token: when it halts (cancellation, scan deadline, step budget, file
-// slice) lexing stops and the stream is terminated with an early EOF,
-// so the parser sees a truncated but well-formed input. Nil means
-// unobserved or ungoverned.
+// token, trivia included: when it halts (cancellation, scan deadline,
+// step budget, file slice) lexing stops and the stream is terminated
+// with an early EOF, so the parser sees a truncated but well-formed
+// input. Nil means unobserved or ungoverned.
 func TokenizeCode(src string, rec *obs.Recorder, parent *obs.Span, gov *govern.Governor) []phptoken.Token {
 	sp := rec.StartSpan("lex", parent)
 	l := New(src)
@@ -94,23 +105,23 @@ func TokenizeCode(src string, rec *obs.Recorder, parent *obs.Span, gov *govern.G
 	for {
 		gov.Step()
 		if gov.Halted() {
-			code = append(code, phptoken.Token{Kind: phptoken.EOF, Line: l.line, Offset: l.pos})
+			code = append(code, phptoken.Token{Kind: phptoken.EOF, Line: l.lineAt(l.pos), Offset: l.pos})
 			total++
 			break
 		}
-		t := l.Next()
+		k := l.scan()
 		total++
-		if !t.IsTrivia() {
-			code = append(code, t)
+		if !k.IsTrivia() {
+			code = append(code, l.token(k))
 		}
-		if t.Kind == phptoken.EOF {
+		if k == phptoken.EOF {
 			break
 		}
 	}
 	sp.EndAndObserve("stage_lex_seconds")
 	if rec != nil {
 		rec.Counter("lex_tokens_total").Add(int64(total))
-		rec.Counter("lex_lines_total").Add(int64(strings.Count(src, "\n") + 1))
+		rec.Counter("lex_lines_total").Add(int64(l.lineAt(len(src))))
 	}
 	return code
 }
@@ -118,8 +129,15 @@ func TokenizeCode(src string, rec *obs.Recorder, parent *obs.Span, gov *govern.G
 // Next returns the next token. After the end of input it returns EOF
 // forever.
 func (l *Lexer) Next() phptoken.Token {
+	return l.token(l.scan())
+}
+
+// scan lexes one token and returns its kind; the token's text is
+// src[l.start:l.pos]. After the end of input it returns EOF forever.
+func (l *Lexer) scan() phptoken.Kind {
+	l.start = l.pos
 	if l.pos >= len(l.src) {
-		return l.token(phptoken.EOF, l.pos)
+		return phptoken.EOF
 	}
 	switch l.mode {
 	case modeHTML:
@@ -135,29 +153,39 @@ func (l *Lexer) Next() phptoken.Token {
 	}
 }
 
-// token builds a token whose text spans [start, l.pos).
-func (l *Lexer) token(k phptoken.Kind, start int) phptoken.Token {
-	text := l.src[start:l.pos]
+// token builds the token of kind k that scan just lexed.
+func (l *Lexer) token(k phptoken.Kind) phptoken.Token {
 	return phptoken.Token{
 		Kind:   k,
-		Text:   text,
-		Line:   l.line - strings.Count(text, "\n"),
-		Offset: start,
+		Text:   l.src[l.start:l.pos],
+		Line:   l.lineAt(l.start),
+		Offset: l.start,
 	}
 }
 
-// advance moves the cursor n bytes forward, keeping the line count current.
-func (l *Lexer) advance(n int) {
-	end := l.pos + n
-	if end > len(l.src) {
-		end = len(l.src)
-	}
-	for i := l.pos; i < end; i++ {
-		if l.src[i] == '\n' {
-			l.line++
+// lineAt returns the 1-based line of byte offset off by counting the
+// newlines since the offset asked for last. Offsets must be asked for
+// in nondecreasing order, which token order gives. Most gaps between
+// kept tokens are a few bytes, which a plain loop counts faster than
+// strings.Count's vectorised scan; long gaps (comments, inline HTML,
+// heredocs) take the vectorised scan.
+func (l *Lexer) lineAt(off int) int {
+	if gap := l.src[l.lineOff:off]; len(gap) < 32 {
+		for i := 0; i < len(gap); i++ {
+			if gap[i] == '\n' {
+				l.line++
+			}
 		}
+	} else {
+		l.line += strings.Count(gap, "\n")
 	}
-	l.pos = end
+	l.lineOff = off
+	return l.line
+}
+
+// advance moves the cursor n bytes forward, stopping at the end of input.
+func (l *Lexer) advance(n int) {
+	l.pos = min(l.pos+n, len(l.src))
 }
 
 // peek returns the byte at offset n from the cursor, or 0 past the end.
@@ -166,6 +194,13 @@ func (l *Lexer) peek(n int) byte {
 		return 0
 	}
 	return l.src[l.pos+n]
+}
+
+// skipIdent moves the cursor past the identifier bytes at it.
+func (l *Lexer) skipIdent() {
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
+		l.pos++
+	}
 }
 
 // hasPrefix reports whether the remaining input starts with s,
@@ -184,93 +219,84 @@ func (l *Lexer) hasPrefixFold(s string) bool {
 }
 
 // lexHTML scans inline HTML until an open tag or end of input.
-func (l *Lexer) lexHTML() phptoken.Token {
-	start := l.pos
+func (l *Lexer) lexHTML() phptoken.Kind {
 	if l.hasPrefixFold("<?php") {
 		l.advance(5)
 		// token_get_all includes one following whitespace char in the tag.
 		l.mode = modePHP
-		return l.token(phptoken.OpenTag, start)
+		return phptoken.OpenTag
 	}
 	if l.hasPrefix("<?=") {
 		l.advance(3)
 		l.mode = modePHP
-		return l.token(phptoken.OpenTagEcho, start)
+		return phptoken.OpenTagEcho
 	}
 	if l.hasPrefix("<?") {
 		l.advance(2)
 		l.mode = modePHP
-		return l.token(phptoken.OpenTag, start)
+		return phptoken.OpenTag
 	}
-	for l.pos < len(l.src) {
-		if l.peek(0) == '<' && l.peek(1) == '?' {
-			break
-		}
-		l.advance(1)
+	if i := strings.Index(l.src[l.pos:], "<?"); i >= 0 {
+		l.pos += i
+	} else {
+		l.pos = len(l.src)
 	}
-	return l.token(phptoken.InlineHTML, start)
+	return phptoken.InlineHTML
 }
 
 // lexPHP scans one token of ordinary PHP code.
-func (l *Lexer) lexPHP() phptoken.Token {
-	start := l.pos
-	c := l.peek(0)
+func (l *Lexer) lexPHP() phptoken.Kind {
+	c := l.src[l.pos]
 
 	switch {
-	case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-		for {
-			c := l.peek(0)
-			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-				break
-			}
-			l.advance(1)
-			if l.pos >= len(l.src) {
-				break
-			}
+	case isSpace(c):
+		l.pos++
+		for l.pos < len(l.src) && isSpace(l.src[l.pos]) {
+			l.pos++
 		}
-		return l.token(phptoken.Whitespace, start)
+		return phptoken.Whitespace
 
 	case c == '?' && l.peek(1) == '>':
 		l.advance(2)
 		l.mode = modeHTML
-		return l.token(phptoken.CloseTag, start)
+		return phptoken.CloseTag
 
 	case c == '/' && l.peek(1) == '/', c == '#':
-		return l.lexLineComment(start)
+		return l.lexLineComment()
 
 	case c == '/' && l.peek(1) == '*':
-		return l.lexBlockComment(start)
+		return l.lexBlockComment()
 
 	case c == '$':
-		return l.lexVariable(start)
+		return l.lexVariable()
 
 	case isIdentStart(c):
-		return l.lexIdent(start)
+		return l.lexIdent()
 
 	case c >= '0' && c <= '9', c == '.' && isDigit(l.peek(1)):
-		return l.lexNumber(start)
+		return l.lexNumber()
 
 	case c == '\'':
-		return l.lexSingleQuoted(start)
+		return l.lexSingleQuoted()
 
 	case c == '"':
-		return l.lexDoubleQuoted(start)
+		return l.lexDoubleQuoted()
 
 	case c == '`':
 		l.advance(1)
 		l.pushMode(modeBacktick)
-		return l.token(phptoken.Backtick, start)
+		return phptoken.Backtick
 
 	case c == '<' && l.hasPrefix("<<<"):
-		return l.lexHeredocStart(start)
+		return l.lexHeredocStart()
 
 	case c == '(':
 		if k, n, ok := l.castAhead(); ok {
 			l.advance(n)
-			return l.token(k, start)
+			return k
 		}
 		l.advance(1)
-		return l.token(phptoken.LParen, start)
+		return phptoken.LParen
 
 	case c == '}':
 		l.advance(1)
@@ -281,95 +307,86 @@ func (l *Lexer) lexPHP() phptoken.Token {
 				l.popMode()
 			}
 		}
-		return l.token(phptoken.RBrace, start)
+		return phptoken.RBrace
 
 	case c == '{':
 		l.advance(1)
 		if n := len(l.curlyDepths); n > 0 {
 			l.curlyDepths[n-1]++
 		}
-		return l.token(phptoken.LBrace, start)
+		return phptoken.LBrace
 
 	default:
-		return l.lexOperator(start)
+		return l.lexOperator()
 	}
 }
 
 // lexLineComment scans a // or # comment. The comment ends at the newline
 // or, as in PHP, immediately before a close tag.
-func (l *Lexer) lexLineComment(start int) phptoken.Token {
+func (l *Lexer) lexLineComment() phptoken.Kind {
 	for l.pos < len(l.src) {
-		if l.peek(0) == '\n' {
+		c := l.src[l.pos]
+		if c == '\n' || c == '?' && l.peek(1) == '>' {
 			break
 		}
-		if l.peek(0) == '?' && l.peek(1) == '>' {
-			break
-		}
-		l.advance(1)
+		l.pos++
 	}
-	return l.token(phptoken.Comment, start)
+	return phptoken.Comment
 }
 
 // lexBlockComment scans a /* */ or /** */ comment.
-func (l *Lexer) lexBlockComment(start int) phptoken.Token {
+func (l *Lexer) lexBlockComment() phptoken.Kind {
 	kind := phptoken.Comment
 	if l.peek(2) == '*' && l.peek(3) != '/' {
 		kind = phptoken.DocComment
 	}
 	l.advance(2)
-	for l.pos < len(l.src) {
-		if l.peek(0) == '*' && l.peek(1) == '/' {
-			l.advance(2)
-			return l.token(kind, start)
-		}
-		l.advance(1)
+	if i := strings.Index(l.src[l.pos:], "*/"); i >= 0 {
+		l.pos += i + 2
+	} else {
+		l.pos = len(l.src) // unterminated comment runs to EOF
 	}
-	return l.token(kind, start) // unterminated comment runs to EOF
+	return kind
 }
 
 // lexVariable scans $name, or a bare $ for variable-variables ($$x).
-func (l *Lexer) lexVariable(start int) phptoken.Token {
+func (l *Lexer) lexVariable() phptoken.Kind {
 	l.advance(1)
 	if !isIdentStart(l.peek(0)) {
-		return l.token(phptoken.Dollar, start)
+		return phptoken.Dollar
 	}
-	for isIdentPart(l.peek(0)) {
-		l.advance(1)
-	}
-	return l.token(phptoken.Variable, start)
+	l.skipIdent()
+	return phptoken.Variable
 }
 
 // lexIdent scans an identifier and classifies keywords.
-func (l *Lexer) lexIdent(start int) phptoken.Token {
-	for isIdentPart(l.peek(0)) {
-		l.advance(1)
+func (l *Lexer) lexIdent() phptoken.Kind {
+	l.skipIdent()
+	if k, ok := phptoken.LookupKeyword(l.src[l.start:l.pos]); ok {
+		return k
 	}
-	text := l.src[start:l.pos]
-	if k, ok := phptoken.LookupKeyword(text); ok {
-		return l.token(k, start)
-	}
-	return l.token(phptoken.Ident, start)
+	return phptoken.Ident
 }
 
 // lexNumber scans integer and floating point literals, including hex and
 // octal integers and exponent notation.
-func (l *Lexer) lexNumber(start int) phptoken.Token {
+func (l *Lexer) lexNumber() phptoken.Kind {
 	if l.peek(0) == '0' && (l.peek(1) == 'x' || l.peek(1) == 'X') {
 		l.advance(2)
 		for isHexDigit(l.peek(0)) {
-			l.advance(1)
+			l.pos++
 		}
-		return l.token(phptoken.IntLit, start)
+		return phptoken.IntLit
 	}
 	float := false
 	for isDigit(l.peek(0)) {
-		l.advance(1)
+		l.pos++
 	}
 	if l.peek(0) == '.' && isDigit(l.peek(1)) {
 		float = true
-		l.advance(1)
+		l.pos++
 		for isDigit(l.peek(0)) {
-			l.advance(1)
+			l.pos++
 		}
 	}
 	if c := l.peek(0); c == 'e' || c == 'E' {
@@ -378,44 +395,44 @@ func (l *Lexer) lexNumber(start int) phptoken.Token {
 			float = true
 			l.advance(2)
 			for isDigit(l.peek(0)) {
-				l.advance(1)
+				l.pos++
 			}
 		}
 	}
 	if float {
-		return l.token(phptoken.FloatLit, start)
+		return phptoken.FloatLit
 	}
-	return l.token(phptoken.IntLit, start)
+	return phptoken.IntLit
 }
 
 // lexSingleQuoted scans a complete single-quoted string literal.
-func (l *Lexer) lexSingleQuoted(start int) phptoken.Token {
+func (l *Lexer) lexSingleQuoted() phptoken.Kind {
 	l.advance(1)
 	for l.pos < len(l.src) {
-		switch l.peek(0) {
+		switch l.src[l.pos] {
 		case '\\':
 			l.advance(2)
 		case '\'':
-			l.advance(1)
-			return l.token(phptoken.StringLit, start)
+			l.pos++
+			return phptoken.StringLit
 		default:
-			l.advance(1)
+			l.pos++
 		}
 	}
-	return l.token(phptoken.StringLit, start) // unterminated
+	return phptoken.StringLit // unterminated
 }
 
 // lexDoubleQuoted scans a double-quoted string. Non-interpolated strings
 // are emitted as one StringLit; interpolated ones emit the opening Quote
 // and switch to string mode, as token_get_all does.
-func (l *Lexer) lexDoubleQuoted(start int) phptoken.Token {
+func (l *Lexer) lexDoubleQuoted() phptoken.Kind {
 	if end, plain := l.scanPlainDQ(); plain {
 		l.advance(end - l.pos)
-		return l.token(phptoken.StringLit, start)
+		return phptoken.StringLit
 	}
 	l.advance(1)
 	l.pushMode(modeDQString)
-	return l.token(phptoken.Quote, start)
+	return phptoken.Quote
 }
 
 // scanPlainDQ looks ahead over a double-quoted string. If the string
@@ -448,21 +465,18 @@ func (l *Lexer) scanPlainDQ() (end int, plain bool) {
 
 // lexInterpolated scans the next token inside a double-quoted or backtick
 // string: a text fragment, an interpolated variable, or the delimiter.
-func (l *Lexer) lexInterpolated(delim byte, delimKind phptoken.Kind) phptoken.Token {
-	start := l.pos
-	c := l.peek(0)
-
-	if c == delim {
+func (l *Lexer) lexInterpolated(delim byte, delimKind phptoken.Kind) phptoken.Kind {
+	if l.src[l.pos] == delim {
 		l.advance(1)
 		l.popMode()
-		return l.token(delimKind, start)
+		return delimKind
 	}
-	if tok, ok := l.lexInterpolationStart(start); ok {
-		return tok
+	if k, ok := l.lexInterpolationStart(); ok {
+		return k
 	}
 	// Text fragment until the next interpolation point or delimiter.
 	for l.pos < len(l.src) {
-		c := l.peek(0)
+		c := l.src[l.pos]
 		if c == delim {
 			break
 		}
@@ -476,25 +490,25 @@ func (l *Lexer) lexInterpolated(delim byte, delimKind phptoken.Kind) phptoken.To
 		if c == '{' && l.peek(1) == '$' {
 			break
 		}
-		l.advance(1)
+		l.pos++
 	}
-	return l.token(phptoken.EncapsedText, start)
+	return phptoken.EncapsedText
 }
 
 // lexInterpolationStart handles the three interpolation forms at the
 // cursor: $name (with optional ->prop or [idx]), {$expr}, and ${name}.
 // It reports false when the cursor is not at an interpolation point.
-func (l *Lexer) lexInterpolationStart(start int) (phptoken.Token, bool) {
+func (l *Lexer) lexInterpolationStart() (phptoken.Kind, bool) {
 	c := l.peek(0)
 	if c == '{' && l.peek(1) == '$' {
 		l.advance(1)
 		l.pushCurly()
-		return l.token(phptoken.CurlyOpen, start), true
+		return phptoken.CurlyOpen, true
 	}
 	if c == '$' && l.peek(1) == '{' {
 		l.advance(2)
 		l.pushCurly()
-		return l.token(phptoken.DollarCurlyOpen, start), true
+		return phptoken.DollarCurlyOpen, true
 	}
 	if c == '$' && isIdentStart(l.peek(1)) {
 		// Simple interpolation: lex the variable now; -> and [ ] accesses
@@ -502,51 +516,44 @@ func (l *Lexer) lexInterpolationStart(start int) (phptoken.Token, bool) {
 		// simple syntax only allows one level, which the fragment scanner
 		// naturally produces because "->" and "[" are consumed here.
 		l.advance(1)
-		for isIdentPart(l.peek(0)) {
-			l.advance(1)
-		}
-		tok := l.token(phptoken.Variable, start)
-		return tok, true
+		l.skipIdent()
+		return phptoken.Variable, true
 	}
 	// ->prop directly after an interpolated variable.
 	if c == '-' && l.peek(1) == '>' && isIdentStart(l.peek(2)) && l.prevWasInterpVar() {
 		l.advance(2)
-		return l.token(phptoken.Arrow, start), true
+		return phptoken.Arrow, true
 	}
 	// The property name directly after an interpolated "->".
 	if isIdentStart(c) && l.pos >= 2 && l.src[l.pos-1] == '>' && l.src[l.pos-2] == '-' {
-		for isIdentPart(l.peek(0)) {
-			l.advance(1)
-		}
-		return l.token(phptoken.Ident, start), true
+		l.skipIdent()
+		return phptoken.Ident, true
 	}
 	if c == '[' && l.prevWasInterpVar() {
 		l.advance(1)
-		return l.token(phptoken.LBracket, start), true
+		return phptoken.LBracket, true
 	}
 	if c == ']' && l.prevWasInterpBracket() {
 		l.advance(1)
-		return l.token(phptoken.RBracket, start), true
+		return phptoken.RBracket, true
 	}
 	if l.prevWasInterpBracket() {
 		// Index token inside simple-syntax brackets: int, ident or $var.
 		if c == '$' {
-			return l.lexVariable(start), true
+			return l.lexVariable(), true
 		}
 		if isDigit(c) {
 			for isDigit(l.peek(0)) {
-				l.advance(1)
+				l.pos++
 			}
-			return l.token(phptoken.IntLit, start), true
+			return phptoken.IntLit, true
 		}
 		if isIdentStart(c) {
-			for isIdentPart(l.peek(0)) {
-				l.advance(1)
-			}
-			return l.token(phptoken.Ident, start), true
+			l.skipIdent()
+			return phptoken.Ident, true
 		}
 	}
-	return phptoken.Token{}, false
+	return phptoken.Invalid, false
 }
 
 // prevWasInterpVar reports whether the bytes immediately before the cursor
@@ -586,29 +593,27 @@ func (l *Lexer) prevWasInterpBracket() bool {
 }
 
 // lexHeredocStart scans <<<LABEL, <<<"LABEL" or <<<'LABEL' (nowdoc).
-func (l *Lexer) lexHeredocStart(start int) phptoken.Token {
+func (l *Lexer) lexHeredocStart() phptoken.Kind {
 	l.advance(3)
 	for l.peek(0) == ' ' || l.peek(0) == '\t' {
-		l.advance(1)
+		l.pos++
 	}
 	quote := byte(0)
 	if c := l.peek(0); c == '"' || c == '\'' {
 		quote = c
-		l.advance(1)
+		l.pos++
 	}
 	labelStart := l.pos
-	for isIdentPart(l.peek(0)) {
-		l.advance(1)
-	}
+	l.skipIdent()
 	l.heredocLabel = l.src[labelStart:l.pos]
 	if quote != 0 && l.peek(0) == quote {
-		l.advance(1)
+		l.pos++
 	}
 	if l.peek(0) == '\r' {
-		l.advance(1)
+		l.pos++
 	}
 	if l.peek(0) == '\n' {
-		l.advance(1)
+		l.pos++
 	}
 	if quote == '\'' {
 		// Nowdoc: no interpolation; consume the whole body here by
@@ -618,13 +623,12 @@ func (l *Lexer) lexHeredocStart(start int) phptoken.Token {
 		l.heredocLabel = "'" + l.heredocLabel
 	}
 	l.pushMode(modeHeredoc)
-	return l.token(phptoken.StartHeredoc, start)
+	return phptoken.StartHeredoc
 }
 
 // lexHeredocBody scans heredoc content, emitting text fragments and
 // interpolations until the terminator label.
-func (l *Lexer) lexHeredocBody() phptoken.Token {
-	start := l.pos
+func (l *Lexer) lexHeredocBody() phptoken.Kind {
 	label := l.heredocLabel
 	nowdoc := strings.HasPrefix(label, "'")
 	if nowdoc {
@@ -635,15 +639,15 @@ func (l *Lexer) lexHeredocBody() phptoken.Token {
 		l.advance(len(label))
 		l.popMode()
 		l.heredocLabel = ""
-		return l.token(phptoken.EndHeredoc, start)
+		return phptoken.EndHeredoc
 	}
 	if !nowdoc {
-		if tok, ok := l.lexInterpolationStart(start); ok {
-			return tok
+		if k, ok := l.lexInterpolationStart(); ok {
+			return k
 		}
 	}
 	for l.pos < len(l.src) {
-		c := l.peek(0)
+		c := l.src[l.pos]
 		if c == '\\' && !nowdoc {
 			l.advance(2)
 			continue
@@ -656,22 +660,20 @@ func (l *Lexer) lexHeredocBody() phptoken.Token {
 				break
 			}
 		}
-		if c == '\n' {
-			l.advance(1)
-			if l.atHeredocEnd(label) {
-				break
-			}
-			continue
+		l.pos++
+		if c == '\n' && l.atHeredocEnd(label) {
+			break
 		}
-		l.advance(1)
 	}
-	return l.token(phptoken.EncapsedText, start)
+	return phptoken.EncapsedText
 }
 
 // atHeredocEnd reports whether the cursor sits at the start of a line whose
-// content is the heredoc terminator label.
+// content is the heredoc terminator label. An empty label (a "<<<" with
+// no name) never ends the heredoc, so its body runs to the end of input
+// instead of ending in an empty EndHeredoc token.
 func (l *Lexer) atHeredocEnd(label string) bool {
-	if l.pos != 0 && l.src[l.pos-1] != '\n' {
+	if label == "" || l.pos != 0 && l.src[l.pos-1] != '\n' {
 		return false
 	}
 	if !strings.HasPrefix(l.src[l.pos:], label) {
@@ -685,8 +687,26 @@ func (l *Lexer) atHeredocEnd(label string) bool {
 	return c == ';' || c == '\n' || c == '\r'
 }
 
+// maxCastLen is the length of the longest cast type name.
+const maxCastLen = len("boolean")
+
+// casts maps the type names a cast operator accepts to its kind.
+var casts = []struct {
+	name string
+	kind phptoken.Kind
+}{
+	{"int", phptoken.IntCast}, {"integer", phptoken.IntCast},
+	{"float", phptoken.FloatCast}, {"double", phptoken.FloatCast}, {"real", phptoken.FloatCast},
+	{"string", phptoken.StringCast}, {"binary", phptoken.StringCast},
+	{"array", phptoken.ArrayCast},
+	{"object", phptoken.ObjectCast},
+	{"bool", phptoken.BoolCast}, {"boolean", phptoken.BoolCast},
+	{"unset", phptoken.UnsetCast},
+}
+
 // castAhead looks for a cast operator "(type)" at the cursor and returns
-// its kind and byte length.
+// its kind and byte length. It folds case without allocating and gives
+// up as soon as the word is longer than any cast type name.
 func (l *Lexer) castAhead() (phptoken.Kind, int, bool) {
 	i := l.pos + 1
 	for i < len(l.src) && (l.src[i] == ' ' || l.src[i] == '\t') {
@@ -694,35 +714,39 @@ func (l *Lexer) castAhead() (phptoken.Kind, int, bool) {
 	}
 	wordStart := i
 	for i < len(l.src) && isIdentPart(l.src[i]) {
+		if i-wordStart == maxCastLen {
+			return 0, 0, false
+		}
 		i++
 	}
-	word := LowerASCII(l.src[wordStart:i])
+	word := l.src[wordStart:i]
 	for i < len(l.src) && (l.src[i] == ' ' || l.src[i] == '\t') {
 		i++
 	}
 	if i >= len(l.src) || l.src[i] != ')' {
 		return 0, 0, false
 	}
-	var k phptoken.Kind
-	switch word {
-	case "int", "integer":
-		k = phptoken.IntCast
-	case "float", "double", "real":
-		k = phptoken.FloatCast
-	case "string", "binary":
-		k = phptoken.StringCast
-	case "array":
-		k = phptoken.ArrayCast
-	case "object":
-		k = phptoken.ObjectCast
-	case "bool", "boolean":
-		k = phptoken.BoolCast
-	case "unset":
-		k = phptoken.UnsetCast
-	default:
-		return 0, 0, false
+	for _, c := range casts {
+		if equalFoldASCII(word, c.name) {
+			return c.kind, i + 1 - l.pos, true
+		}
 	}
-	return k, i + 1 - l.pos, true
+	return 0, 0, false
+}
+
+// equalFoldASCII reports whether s equals the lower-case ASCII word
+// lower when ASCII letters are folded. Unlike strings.EqualFold it folds
+// no other characters, so "(ſtring)" is not a cast, as in PHP.
+func equalFoldASCII(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i]|0x20 != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // operator is one entry of the operator table.
@@ -797,15 +821,15 @@ var operatorsByByte = func() (idx [256][]operator) {
 }()
 
 // lexOperator scans punctuation and operators with longest-match-first.
-func (l *Lexer) lexOperator(start int) phptoken.Token {
+func (l *Lexer) lexOperator() phptoken.Kind {
 	for _, op := range operatorsByByte[l.src[l.pos]] {
 		if l.hasPrefix(op.text) {
 			l.advance(len(op.text))
-			return l.token(op.kind, start)
+			return op.kind
 		}
 	}
 	l.advance(1)
-	return l.token(phptoken.Invalid, start)
+	return phptoken.Invalid
 }
 
 // pushMode enters a string-like mode, remembering where to return.
@@ -835,11 +859,17 @@ func (l *Lexer) pushCurly() {
 	l.mode = modePHP
 }
 
-func isDigit(c byte) bool    { return c >= '0' && c <= '9' }
-func isHexDigit(c byte) bool { return isDigit(c) || (c|0x20 >= 'a' && c|0x20 <= 'f') }
+// identParts marks the bytes an identifier may continue with: ASCII
+// letters, digits, '_' and every byte of a multi-byte UTF-8 sequence.
+var identParts = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c >= 0x80
+	}
+	return t
+}()
 
-func isIdentStart(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
-}
-
-func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
+func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
+func isHexDigit(c byte) bool   { return isDigit(c) || (c|0x20 >= 'a' && c|0x20 <= 'f') }
+func isSpace(c byte) bool      { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+func isIdentStart(c byte) bool { return identParts[c] && !isDigit(c) }
+func isIdentPart(c byte) bool  { return identParts[c] }

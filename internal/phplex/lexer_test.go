@@ -286,11 +286,31 @@ func TestTokenizeCasts(t *testing.T) {
 		{`<?php (bool)$x;`, phptoken.BoolCast},
 		{`<?php (float)$x;`, phptoken.FloatCast},
 		{`<?php (array)$x;`, phptoken.ArrayCast},
+		{`<?php (INT)$x;`, phptoken.IntCast},
+		{`<?php ( Integer )$x;`, phptoken.IntCast},
+		{`<?php (BOOLEAN)$x;`, phptoken.BoolCast},
+		{"<?php (\tunset\t)$x;", phptoken.UnsetCast},
+		{`<?php (ABSPATH)$x;`, phptoken.LParen},
+		{`<?php (integers)$x;`, phptoken.LParen},
+		{`<?php (WP_Query)$x;`, phptoken.LParen},
+		{`<?php (ſtring)$x;`, phptoken.LParen},
+		{`<?php (int$x);`, phptoken.LParen},
 	}
 	for _, tt := range tests {
 		got := kinds(tt.src)
 		if len(got) < 2 || got[1] != tt.kind {
-			t.Errorf("%q: kinds = %v, want cast %v at index 1", tt.src, got, tt.kind)
+			t.Errorf("%q: kinds = %v, want %v at index 1", tt.src, got, tt.kind)
+		}
+	}
+}
+
+// TestCastAheadDoesNotAllocate checks that looking for a cast after "("
+// folds the word's case without allocating, whether or not it is a cast.
+func TestCastAheadDoesNotAllocate(t *testing.T) {
+	for _, src := range []string{"(ABSPATH)", "(WP_Query)", "( Integer )", "(STRING)"} {
+		l := New(src)
+		if n := testing.AllocsPerRun(10, func() { l.castAhead() }); n != 0 {
+			t.Errorf("castAhead on %q: %v allocations, want 0", src, n)
 		}
 	}
 }

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"hash"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/phpast"
 	"repro/internal/phplex"
+	"repro/internal/phptoken"
 )
 
 // frontEndDigest pins the front end's output: the token stream and an
@@ -179,5 +181,33 @@ func TestFrontEndGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != frontEndDigest {
 		t.Fatalf("front-end digest over %d fixtures = %s, want %s", len(sources), got, frontEndDigest)
+	}
+}
+
+// TestTokenLinesMatchOffsets checks the lexer's lazily counted lines
+// over every golden fixture (both default-corpus snapshots, the torture
+// file and the rest): each token's Line, trivia included, must be one
+// plus the number of newlines before its Offset, and the code stream
+// must be the full stream with trivia filtered out.
+func TestTokenLinesMatchOffsets(t *testing.T) {
+	t.Parallel()
+	names, sources := goldenFixtures()
+	for i, src := range sources {
+		all := phplex.Tokenize(src)
+		var want []phptoken.Token
+		for _, tok := range all {
+			if tok.Line != 1+strings.Count(src[:tok.Offset], "\n") {
+				t.Fatalf("%s: %v at offset %d has line %d, want %d", names[i], tok.Kind, tok.Offset,
+					tok.Line, 1+strings.Count(src[:tok.Offset], "\n"))
+			}
+			if !tok.IsTrivia() {
+				want = append(want, tok)
+			}
+		}
+		code := phplex.TokenizeCode(src, nil, nil, nil)
+		if !slices.Equal(code, want) {
+			t.Fatalf("%s: TokenizeCode differs from the filtered Tokenize stream", names[i])
+		}
+		phplex.PutTokens(code)
 	}
 }

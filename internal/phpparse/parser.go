@@ -11,7 +11,9 @@ package phpparse
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
+	"unsafe"
 
 	"repro/internal/govern"
 	"repro/internal/obs"
@@ -64,6 +66,7 @@ func Parse(name, src string, o Options) *phpast.File {
 		maxDepth: o.Gov.MaxParseDepth(),
 		in:       o.Interner,
 	}
+	p.sizeSlabs()
 	p.file.Stmts = p.parseStmtList(func(t phptoken.Token) bool { return false })
 	// The AST holds no references into the token stream (names are
 	// substrings of src or interned copies), so the buffer can go back
@@ -98,10 +101,23 @@ type parser struct {
 	// interning).
 	in *phplex.Interner
 
-	// lits is the slab Literal nodes are carved from (see lit): a chunk
-	// that fills up is left to the nodes pointing into it, and a new one
-	// is started. Literals are the most numerous node.
-	lits []phpast.Literal
+	// The most numerous nodes, and argument lists, are carved from
+	// per-parse slabs sized from the token stream (see sizeSlabs).
+	lits      slab[phpast.Literal]
+	vars      slab[phpast.Var]
+	calls     slab[phpast.FuncCall]
+	binaries  slab[phpast.Binary]
+	assigns   slab[phpast.Assign]
+	exprStmts slab[phpast.ExprStmt]
+	echoes    slab[phpast.Echo]
+	argSlab   slab[phpast.Arg]
+
+	// The scratch stacks list parsers collect items on before copying
+	// each finished list out at its exact length.
+	stmts stack[phpast.Stmt]
+	exprs stack[phpast.Expr]
+	args  stack[phpast.Arg]
+	items stack[phpast.ArrayItem]
 }
 
 // lower case-folds an identifier through the intern table. It replaces
@@ -134,20 +150,13 @@ func (p *parser) leaveNesting() { p.depth-- }
 // badExprOverDepth consumes one token (to guarantee forward progress in
 // every caller's loop) and returns a placeholder expression.
 func (p *parser) badExprOverDepth() phpast.Expr {
-	line := p.cur().Line
-	if !p.at(phptoken.EOF) {
-		p.pos++
-	}
+	line := p.next().Line
 	return &phpast.BadExpr{Reason: "nesting depth budget exceeded", Position: phpast.NewPosition(line)}
 }
 
-// cur returns the current token; past the end it returns the final EOF.
-func (p *parser) cur() phptoken.Token {
-	if p.pos >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos]
-}
+// cur returns the current token. The stream ends in EOF and the cursor
+// never moves past it, so at the end cur keeps returning that EOF.
+func (p *parser) cur() phptoken.Token { return p.toks[p.pos] }
 
 // peek returns the token n positions ahead.
 func (p *parser) peek(n int) phptoken.Token {
@@ -157,17 +166,17 @@ func (p *parser) peek(n int) phptoken.Token {
 	return p.toks[p.pos+n]
 }
 
-// next consumes and returns the current token.
+// next consumes and returns the current token; at EOF it stays put.
 func (p *parser) next() phptoken.Token {
-	t := p.cur()
-	if p.pos < len(p.toks) {
+	t := p.toks[p.pos]
+	if t.Kind != phptoken.EOF {
 		p.pos++
 	}
 	return t
 }
 
 // at reports whether the current token has kind k.
-func (p *parser) at(k phptoken.Kind) bool { return p.cur().Kind == k }
+func (p *parser) at(k phptoken.Kind) bool { return p.toks[p.pos].Kind == k }
 
 // accept consumes the current token when it has kind k.
 func (p *parser) accept(k phptoken.Kind) bool {
@@ -203,33 +212,34 @@ func (p *parser) position() int { return p.cur().Line }
 // the current token. It guarantees forward progress even on malformed
 // input.
 func (p *parser) parseStmtList(stop func(phptoken.Token) bool) []phpast.Stmt {
-	var list []phpast.Stmt
+	mark := p.stmts.mark()
 	for {
 		p.gov.Step()
 		if p.gov.Halted() {
 			// Cancellation or an exhausted budget: hand back what parsed
 			// so far; the engine records the truncation.
-			return list
+			break
 		}
 		t := p.cur()
 		if t.Kind == phptoken.EOF || stop(t) {
-			return list
+			break
 		}
 		before := p.pos
 		s := p.parseStmt()
 		if s != nil {
-			list = append(list, s)
+			p.stmts.push(s)
 		}
 		if p.pos == before {
 			// No progress: consume the offending token to avoid loops.
 			bad := p.next()
 			p.errorf("line %d: unexpected token %v", bad.Line, bad.Kind)
-			list = append(list, &phpast.BadStmt{
+			p.stmts.push(&phpast.BadStmt{
 				Reason:   "unexpected " + bad.Kind.String(),
 				Position: phpast.NewPosition(bad.Line),
 			})
 		}
 	}
+	return p.stmts.popTo(mark, nil)
 }
 
 // stopAt returns a stop predicate matching any of the given kinds.
@@ -264,10 +274,7 @@ func stopAtIdents(names ...string) func(phptoken.Token) bool {
 // no statement (open/close tags, stray semicolons).
 func (p *parser) parseStmt() phpast.Stmt {
 	if !p.enterNesting() {
-		line := p.cur().Line
-		if !p.at(phptoken.EOF) {
-			p.pos++
-		}
+		line := p.next().Line
 		return &phpast.BadStmt{Reason: "nesting depth budget exceeded", Position: phpast.NewPosition(line)}
 	}
 	s := p.parseStmtTail()
@@ -287,21 +294,21 @@ func (p *parser) parseStmtTail() phpast.Stmt {
 		return nil
 	case phptoken.InlineHTML:
 		p.next()
-		return &phpast.Echo{
+		return p.echoes.put(phpast.Echo{
 			Args:     []phpast.Expr{p.lit(t.Line, phpast.LitString, t.Text)},
 			FromHTML: true,
 			Position: phpast.NewPosition(t.Line),
-		}
+		})
 	case phptoken.OpenTagEcho:
 		p.next()
 		args := p.parseExprListUntil(stopAt(phptoken.Semicolon, phptoken.CloseTag))
 		p.accept(phptoken.Semicolon)
-		return &phpast.Echo{Args: args, FromHTML: true, Position: phpast.NewPosition(t.Line)}
+		return p.echoes.put(phpast.Echo{Args: args, FromHTML: true, Position: phpast.NewPosition(t.Line)})
 	case phptoken.KwEcho:
 		p.next()
 		args := p.parseExprListUntil(stopAt(phptoken.Semicolon, phptoken.CloseTag))
 		p.endStmt()
-		return &phpast.Echo{Args: args, Position: phpast.NewPosition(t.Line)}
+		return p.echoes.put(phpast.Echo{Args: args, Position: phpast.NewPosition(t.Line)})
 	case phptoken.LBrace:
 		p.next()
 		body := p.parseStmtList(stopAt(phptoken.RBrace))
@@ -432,7 +439,7 @@ func (p *parser) parseExprStmt() phpast.Stmt {
 	line := p.position()
 	x := p.parseExpr()
 	p.endStmt()
-	return &phpast.ExprStmt{X: x, Position: phpast.NewPosition(line)}
+	return p.exprStmts.put(phpast.ExprStmt{X: x, Position: phpast.NewPosition(line)})
 }
 
 // parseIf parses if statements in both brace and alternative (colon)
@@ -994,21 +1001,22 @@ func (p *parser) memberName() (string, bool) {
 // parseExprListUntil parses a comma-separated expression list until the
 // stop predicate matches.
 func (p *parser) parseExprListUntil(stop func(phptoken.Token) bool) []phpast.Expr {
-	var list []phpast.Expr
+	mark := p.exprs.mark()
 	for {
 		t := p.cur()
 		if t.Kind == phptoken.EOF || stop(t) {
-			return list
+			break
 		}
 		before := p.pos
-		list = append(list, p.parseExpr())
+		p.exprs.push(p.parseExpr())
 		if p.pos == before {
 			p.next() // force progress
 		}
 		if !p.accept(phptoken.Comma) {
-			return list
+			break
 		}
 	}
+	return p.exprs.popTo(mark, nil)
 }
 
 // parseExpr parses a full expression including the low-precedence word
@@ -1017,39 +1025,29 @@ func (p *parser) parseExpr() phpast.Expr {
 	if !p.enterNesting() {
 		return p.badExprOverDepth()
 	}
-	x := p.parseWordOr()
+	x := p.parseWordOps(1)
 	p.leaveNesting()
 	return x
 }
 
-func (p *parser) parseWordOr() phpast.Expr {
-	left := p.parseWordXor()
-	for p.at(phptoken.KwLogicalOr) {
-		line := p.next().Line
-		right := p.parseWordXor()
-		left = &phpast.Binary{Op: "or", L: left, R: right, Position: phpast.NewPosition(line)}
-	}
-	return left
-}
-
-func (p *parser) parseWordXor() phpast.Expr {
-	left := p.parseWordAnd()
-	for p.at(phptoken.KwLogicalXor) {
-		line := p.next().Line
-		right := p.parseWordAnd()
-		left = &phpast.Binary{Op: "xor", L: left, R: right, Position: phpast.NewPosition(line)}
-	}
-	return left
-}
-
-func (p *parser) parseWordAnd() phpast.Expr {
+// parseWordOps parses a chain of the word operators at precedence
+// level min (at least 1) and tighter by precedence climbing, as
+// parseBinary does for the symbolic ones; their operands are
+// assignments.
+func (p *parser) parseWordOps(min int) phpast.Expr {
 	left := p.parseAssign()
-	for p.at(phptoken.KwLogicalAnd) {
+	for {
+		op := p.curOp()
+		if op.word < min {
+			return left
+		}
 		line := p.next().Line
-		right := p.parseAssign()
-		left = &phpast.Binary{Op: "and", L: left, R: right, Position: phpast.NewPosition(line)}
+		right := p.parseWordOps(op.word + 1)
+		left = p.binaries.put(phpast.Binary{
+			Op: op.binary, L: left, R: right,
+			Position: phpast.NewPosition(line),
+		})
 	}
-	return left
 }
 
 // assignOps lists the assignment operators and their spellings.
@@ -1079,7 +1077,7 @@ func (p *parser) parseAssign() phpast.Expr {
 		return left
 	}
 	line := p.next().Line
-	node := &phpast.Assign{LHS: left, Op: op, Position: phpast.NewPosition(line)}
+	node := p.assigns.put(phpast.Assign{LHS: left, Op: op, Position: phpast.NewPosition(line)})
 	if op == "=" && p.accept(phptoken.Amp) {
 		node.ByRef = true
 	}
@@ -1126,21 +1124,36 @@ var binaryLevels = [][]struct {
 	{{phptoken.Star, "*"}, {phptoken.Slash, "/"}, {phptoken.Percent, "%"}},
 }
 
+// wordOps lists the word-form binary operators from loosest to
+// tightest binding. All bind looser than assignment.
+var wordOps = []struct {
+	kind phptoken.Kind
+	op   string
+}{
+	{phptoken.KwLogicalOr, "or"},
+	{phptoken.KwLogicalXor, "xor"},
+	{phptoken.KwLogicalAnd, "and"},
+}
+
 // kindOp is what the expression parser needs to know about a token
 // kind as an operator.
 type kindOp struct {
 	level  int    // binary precedence: 1 is binaryLevels[0]; 0 is not binary
-	binary string // binary operator spelling
+	word   int    // word operator precedence: 1 is wordOps[0]; 0 is not one
+	binary string // binary or word operator spelling
 	assign string // assignment operator spelling; "" is not an assignment
 }
 
-// kindOps indexes binaryLevels and assignOps by token kind.
+// kindOps indexes binaryLevels, wordOps and assignOps by token kind.
 var kindOps = func() []kindOp {
 	ops := make([]kindOp, phptoken.KindCount())
 	for i, level := range binaryLevels {
 		for _, b := range level {
 			ops[b.kind].level, ops[b.kind].binary = i+1, b.op
 		}
+	}
+	for i, w := range wordOps {
+		ops[w.kind].word, ops[w.kind].binary = i+1, w.op
 	}
 	for _, a := range assignOps {
 		ops[a.kind].assign = a.op
@@ -1169,10 +1182,10 @@ func (p *parser) parseBinary(min int) phpast.Expr {
 		}
 		line := p.next().Line
 		right := p.parseBinary(op.level + 1)
-		left = &phpast.Binary{
+		left = p.binaries.put(phpast.Binary{
 			Op: op.binary, L: left, R: right,
 			Position: phpast.NewPosition(line),
-		}
+		})
 	}
 }
 
@@ -1293,7 +1306,7 @@ func (p *parser) parseNew() phpast.Expr {
 
 // parseArgs parses a parenthesized call argument list.
 func (p *parser) parseArgs() []phpast.Arg {
-	var args []phpast.Arg
+	mark := p.args.mark()
 	p.expect(phptoken.LParen, "argument list")
 	for !p.at(phptoken.RParen) && !p.at(phptoken.EOF) {
 		var a phpast.Arg
@@ -1306,13 +1319,13 @@ func (p *parser) parseArgs() []phpast.Arg {
 			p.next() // force progress on malformed input
 			continue
 		}
-		args = append(args, a)
+		p.args.push(a)
 		if !p.accept(phptoken.Comma) {
 			break
 		}
 	}
 	p.expect(phptoken.RParen, "argument list")
-	return args
+	return p.args.popTo(mark, &p.argSlab)
 }
 
 // parsePostfix parses member access, indexing, calls and postfix inc/dec
@@ -1350,10 +1363,7 @@ func (p *parser) parsePostfix(x phpast.Expr) phpast.Expr {
 			if !isVarLike(x) {
 				return x
 			}
-			x = &phpast.FuncCall{
-				NameExpr: x, Args: p.parseArgs(),
-				Position: phpast.NewPosition(t.Line),
-			}
+			x = p.funcCall(t.Line, "", x)
 		case phptoken.Inc:
 			p.next()
 			x = &phpast.IncDec{Op: "++", X: x, Position: phpast.NewPosition(t.Line)}
@@ -1412,7 +1422,7 @@ func (p *parser) parsePrimary() phpast.Expr {
 	switch t.Kind {
 	case phptoken.Variable:
 		p.next()
-		return &phpast.Var{Name: strings.TrimPrefix(t.Text, "$"), Position: phpast.NewPosition(t.Line)}
+		return p.newVar(t.Line, strings.TrimPrefix(t.Text, "$"))
 
 	case phptoken.Dollar:
 		p.next()
@@ -1502,10 +1512,7 @@ func (p *parser) parsePrimary() phpast.Expr {
 			return p.parseStaticMember(t.Text, t.Line)
 		}
 		if p.at(phptoken.LParen) {
-			return &phpast.FuncCall{
-				Name: p.lower(t.Text), Args: p.parseArgs(),
-				Position: phpast.NewPosition(t.Line),
-			}
+			return p.funcCall(t.Line, p.lower(t.Text), nil)
 		}
 		return &phpast.ConstFetch{Name: t.Text, Position: phpast.NewPosition(t.Line)}
 
@@ -1605,6 +1612,7 @@ func (p *parser) parseListExpr() phpast.Expr {
 // parseArrayLit parses array(...) or [...] literals.
 func (p *parser) parseArrayLit(line int, open, close phptoken.Kind) phpast.Expr {
 	node := &phpast.ArrayLit{Position: phpast.NewPosition(line)}
+	mark := p.items.mark()
 	p.expect(open, "array literal")
 	for !p.at(close) && !p.at(phptoken.EOF) {
 		var item phpast.ArrayItem
@@ -1623,12 +1631,13 @@ func (p *parser) parseArrayLit(line int, open, close phptoken.Kind) phpast.Expr 
 			p.next()
 			continue
 		}
-		node.Items = append(node.Items, item)
+		p.items.push(item)
 		if !p.accept(phptoken.Comma) {
 			break
 		}
 	}
 	p.expect(close, "array literal")
+	node.Items = p.items.popTo(mark, nil)
 	return node
 }
 
@@ -1651,11 +1660,7 @@ func (p *parser) parseInterp(line int, closing phptoken.Kind, shell bool) phpast
 			node.Parts = append(node.Parts, p.lit(t.Line, phpast.LitString, decodeDouble(t.Text)))
 		case phptoken.Variable:
 			p.next()
-			part := phpast.Expr(&phpast.Var{
-				Name:     strings.TrimPrefix(t.Text, "$"),
-				Position: phpast.NewPosition(t.Line),
-			})
-			part = p.parseInterpAccess(part)
+			part := p.parseInterpAccess(p.newVar(t.Line, strings.TrimPrefix(t.Text, "$")))
 			node.Parts = append(node.Parts, part)
 		case phptoken.CurlyOpen:
 			p.next()
@@ -1665,9 +1670,7 @@ func (p *parser) parseInterp(line int, closing phptoken.Kind, shell bool) phpast
 			p.next()
 			if p.at(phptoken.Ident) {
 				name := p.next().Text
-				node.Parts = append(node.Parts, &phpast.Var{
-					Name: name, Position: phpast.NewPosition(t.Line),
-				})
+				node.Parts = append(node.Parts, p.newVar(t.Line, name))
 			} else {
 				node.Parts = append(node.Parts, &phpast.VarVar{
 					Expr: p.parseExpr(), Position: phpast.NewPosition(t.Line),
@@ -1709,10 +1712,7 @@ func (p *parser) parseInterpAccess(base phpast.Expr) phpast.Expr {
 				idx = p.lit(it.Line, phpast.LitInt, it.Text)
 			case phptoken.Variable:
 				it := p.next()
-				idx = &phpast.Var{
-					Name:     strings.TrimPrefix(it.Text, "$"),
-					Position: phpast.NewPosition(it.Line),
-				}
+				idx = p.newVar(it.Line, strings.TrimPrefix(it.Text, "$"))
 			}
 			p.expect(phptoken.RBracket, "string array index")
 			base = &phpast.IndexFetch{
@@ -1724,18 +1724,216 @@ func (p *parser) parseInterpAccess(base phpast.Expr) phpast.Expr {
 	}
 }
 
-// litChunk is the number of literals per slab chunk. A parsed file
-// keeps its last chunk's unused slots, so chunks stay small: 16
-// literals (512 bytes) cut the literal allocations sixteenfold and left
-// the heap retained by the corpus's ASTs within 0.4% of one allocation
-// per literal, where chunks growing to 128 literals retained 7% more.
-const litChunk = 16
-
 // lit builds a literal node, carved from the parse's slab.
 func (p *parser) lit(line int, kind phpast.LiteralKind, value string) *phpast.Literal {
-	if len(p.lits) == cap(p.lits) {
-		p.lits = make([]phpast.Literal, 0, litChunk)
+	return p.lits.put(phpast.Literal{Kind: kind, Value: value, Position: phpast.NewPosition(line)})
+}
+
+// newVar builds a variable node, carved from the parse's slab.
+func (p *parser) newVar(line int, name string) *phpast.Var {
+	return p.vars.put(phpast.Var{Name: name, Position: phpast.NewPosition(line)})
+}
+
+// funcCall parses the argument list of a call to the function name, or
+// through nameExpr for a dynamic call, into a node carved from the
+// parse's slab.
+func (p *parser) funcCall(line int, name string, nameExpr phpast.Expr) *phpast.FuncCall {
+	return p.calls.put(phpast.FuncCall{Name: name, NameExpr: nameExpr, Args: p.parseArgs(), Position: phpast.NewPosition(line)})
+}
+
+// sizeSlabs sizes the slabs from the token stream, so a parse
+// allocates each in a few blocks and leaves little unused capacity
+// behind for as long as its AST lives:
+//
+//   - literals: one per literal, text fragment and inline-HTML token;
+//   - variables: one per Variable token (an upper bound: parameters,
+//     globals and properties are Variable tokens but not Var nodes) and
+//     one per "${" interpolation;
+//   - direct calls: one per "name(" not preceded by "->", "::",
+//     "function" or "new" (dynamic calls take the fallback);
+//   - binary expressions: one per binary or word operator token (an
+//     upper bound: "-", "+" and "&" may be unary or a by-reference mark);
+//   - assignments: one per assignment operator token;
+//   - echo statements: one per "echo", "<?=" and inline-HTML token;
+//   - expression statements: the semicolons left after those of the
+//     statements that end in one but are not expression statements;
+//   - call arguments: one per non-empty argument list plus one per
+//     comma directly inside it, where an argument list is a "(" after a
+//     name, a variable, "]" or "}", other than a declaration's.
+//
+// A count that falls short only costs the nodes past it an allocation
+// each.
+func (p *parser) sizeSlabs() {
+	var lits, vars, calls, binaries, assigns, stmts, echoes, args int
+	// argLists has bit d set when the bracket open at depth d is an
+	// argument list; brackets nested deeper than it tracks are counted
+	// as not being one.
+	var argLists uint64
+	depth := 0
+	prev, prev2 := phptoken.EOF, phptoken.EOF
+	for i, t := range p.toks {
+		switch t.Kind {
+		case phptoken.InlineHTML:
+			lits++
+			echoes++
+		case phptoken.IntLit, phptoken.FloatLit, phptoken.StringLit, phptoken.EncapsedText:
+			lits++
+		case phptoken.Variable:
+			vars++
+		case phptoken.LParen:
+			decl := prev2 == phptoken.KwFunction
+			if prev == phptoken.Ident && !decl && prev2 != phptoken.Arrow && prev2 != phptoken.DoubleColon && prev2 != phptoken.KwNew {
+				calls++
+			}
+			list := !decl && (prev == phptoken.Ident || prev == phptoken.Variable ||
+				prev == phptoken.RBracket || prev == phptoken.RBrace ||
+				prev2 == phptoken.Arrow || prev2 == phptoken.DoubleColon)
+			// A "(" is never last: the stream ends in EOF.
+			if list && p.toks[i+1].Kind != phptoken.RParen {
+				args++
+			}
+			if depth < 64 {
+				argLists &^= 1 << depth
+				if list {
+					argLists |= 1 << depth
+				}
+			}
+			depth++
+		case phptoken.LBracket, phptoken.LBrace, phptoken.CurlyOpen, phptoken.DollarCurlyOpen:
+			if t.Kind == phptoken.DollarCurlyOpen {
+				vars++
+			}
+			if depth < 64 {
+				argLists &^= 1 << depth
+			}
+			depth++
+		case phptoken.RParen, phptoken.RBracket, phptoken.RBrace:
+			depth = max(depth-1, 0)
+		case phptoken.Comma:
+			if depth > 0 && depth <= 64 && argLists&(1<<(depth-1)) != 0 {
+				args++
+			}
+		case phptoken.Semicolon:
+			stmts++
+		case phptoken.KwEcho:
+			echoes++
+			stmts--
+		case phptoken.OpenTagEcho:
+			echoes++
+		case phptoken.KwReturn, phptoken.KwBreak, phptoken.KwContinue,
+			phptoken.KwGlobal, phptoken.KwUnset, phptoken.KwThrow, phptoken.KwDo,
+			phptoken.KwConst, phptoken.KwVar, phptoken.KwNamespace, phptoken.KwDeclare:
+			stmts--
+		case phptoken.KwFor:
+			stmts -= 2
+		default:
+			if op := kindOps[t.Kind]; op.level > 0 || op.word > 0 {
+				binaries++
+			} else if op.assign != "" {
+				assigns++
+			}
+		}
+		prev, prev2 = t.Kind, prev
 	}
-	p.lits = append(p.lits, phpast.Literal{Kind: kind, Value: value, Position: phpast.NewPosition(line)})
-	return &p.lits[len(p.lits)-1]
+	p.lits.init(lits)
+	p.vars.init(vars)
+	p.calls.init(calls)
+	p.binaries.init(binaries)
+	p.assigns.init(assigns)
+	p.exprStmts.init(max(stmts, 0))
+	p.echoes.init(echoes)
+	p.argSlab.init(args)
+}
+
+// Slab block sizes follow the Go allocator: every power of two up to
+// maxSlabBlock bytes is a size class, and an object larger than
+// headerFreeBlock bytes that holds pointers carries a mallocHeader-byte
+// type header inside its size class.
+const (
+	maxSlabBlock    = 32 << 10
+	headerFreeBlock = 512
+	mallocHeader    = 8
+)
+
+// slab carves nodes of one type, and slices of them, from blocks sized
+// from the count the token stream promises (see sizeSlabs). Each block
+// is the largest power-of-two size class that holds no more nodes than
+// are still promised, filled up to its allocation header, so a file's
+// slab costs a few allocations and leaves little unused per block.
+// Past the promised count each node or slice is allocated on its own.
+type slab[T any] struct {
+	free []T
+	// want is the number of promised nodes not yet in a block.
+	want int
+}
+
+// init promises n nodes.
+func (s *slab[T]) init(n int) { s.want = n }
+
+// put copies v into the slab and returns its address.
+func (s *slab[T]) put(v T) *T {
+	x := &s.carve(1)[0]
+	*x = v
+	return x
+}
+
+// carve returns n zero nodes as a slice of capacity n, so appending to
+// it never writes over its neighbours. A nil slab allocates every slice
+// on its own.
+func (s *slab[T]) carve(n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	if len(s.free) < n {
+		// The rest of the block is too short: give it up and keep its
+		// nodes promised.
+		s.want += len(s.free)
+		s.free = nil
+		if s.want >= n {
+			s.refill()
+		}
+		if len(s.free) < n {
+			return make([]T, n)
+		}
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// refill allocates the next block.
+func (s *slab[T]) refill() {
+	size := int(unsafe.Sizeof(*new(T)))
+	block := min(1<<(bits.Len(uint(s.want*size))-1), maxSlabBlock)
+	if block > headerFreeBlock {
+		block -= mallocHeader
+	}
+	n := min(max(block/size, 1), s.want)
+	s.want -= n
+	s.free = make([]T, n)
+}
+
+// stack is a per-parse scratch stack: a list parser pushes its items,
+// nested lists push theirs above, and popTo copies a finished list out
+// at its exact length. A list then costs one allocation and keeps no
+// spare capacity, where growing it by append cost one per doubling.
+type stack[T any] struct{ items []T }
+
+// mark returns the height a list starts at.
+func (s *stack[T]) mark() int { return len(s.items) }
+
+// push adds x to the list being collected.
+func (s *stack[T]) push(x T) { s.items = append(s.items, x) }
+
+// popTo removes the items pushed since mark and returns them in an
+// exact-length slice carved from sl, or nil when there are none.
+func (s *stack[T]) popTo(mark int, sl *slab[T]) []T {
+	if len(s.items) == mark {
+		return nil
+	}
+	out := sl.carve(len(s.items) - mark)
+	copy(out, s.items[mark:])
+	clear(s.items[mark:])
+	s.items = s.items[:mark]
+	return out
 }

@@ -407,34 +407,27 @@ var keywords = map[string]Kind{
 	"xor":          KwLogicalXor,
 }
 
+// maxKeywordLen is the length of the longest keyword spelling.
+const maxKeywordLen = len("include_once")
+
 // LookupKeyword returns the keyword Kind for an identifier spelling, using
 // PHP's case-insensitive keyword matching. The second result reports whether
-// the spelling is a keyword.
+// the spelling is a keyword. It folds case into a stack buffer, so it does
+// not allocate.
 func LookupKeyword(ident string) (Kind, bool) {
-	k, ok := keywords[lowerASCII(ident)]
-	return k, ok
-}
-
-// lowerASCII lower-cases ASCII letters without allocating when the input is
-// already lower-case.
-func lowerASCII(s string) string {
-	lower := true
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c >= 'A' && c <= 'Z' {
-			lower = false
-			break
-		}
+	if len(ident) > maxKeywordLen {
+		return 0, false
 	}
-	if lower {
-		return s
-	}
-	b := []byte(s)
-	for i, c := range b {
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(ident); i++ {
+		c := ident[i]
 		if c >= 'A' && c <= 'Z' {
-			b[i] = c + ('a' - 'A')
+			c += 'a' - 'A'
 		}
+		buf[i] = c
 	}
-	return string(b)
+	k, ok := keywords[string(buf[:len(ident)])]
+	return k, ok
 }
 
 // Token is a single lexical token with its source position.
@@ -457,8 +450,12 @@ func (t Token) IsKeyword() bool {
 // IsTrivia reports whether the token carries no syntactic meaning
 // (whitespace and comments). phpSAFE's model-construction stage strips
 // trivia from the AST before analysis (paper §III.B).
-func (t Token) IsTrivia() bool {
-	return t.Kind == Whitespace || t.Kind == Comment || t.Kind == DocComment
+func (t Token) IsTrivia() bool { return t.Kind.IsTrivia() }
+
+// IsTrivia reports whether tokens of kind k are trivia (see
+// Token.IsTrivia).
+func (k Kind) IsTrivia() bool {
+	return k == Whitespace || k == Comment || k == DocComment
 }
 
 // IsCast reports whether the token is a type-cast operator.

@@ -101,3 +101,19 @@ func TestAllKeywordsRoundTrip(t *testing.T) {
 		seen[name] = k
 	}
 }
+
+// TestLookupKeywordDoesNotAllocate checks that keyword lookup folds case
+// without allocating, for keywords and plain identifiers alike.
+func TestLookupKeywordDoesNotAllocate(t *testing.T) {
+	for _, ident := range []string{"Function", "WP_Query", "ABSPATH", "include_ONCE", "a_very_long_identifier"} {
+		if n := testing.AllocsPerRun(10, func() { LookupKeyword(ident) }); n != 0 {
+			t.Errorf("LookupKeyword(%q): %v allocations, want 0", ident, n)
+		}
+	}
+	if k, ok := LookupKeyword("Include_Once"); !ok || k != KwIncludeOnce {
+		t.Errorf("LookupKeyword(Include_Once) = %v, %v", k, ok)
+	}
+	if _, ok := LookupKeyword("include_onces"); ok {
+		t.Error("include_onces is not a keyword")
+	}
+}
