@@ -19,9 +19,9 @@ package incremental
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/phpast"
+	"repro/internal/taint"
 )
 
 // resKind is the namespace of a shared resource: functions, classes,
@@ -41,292 +41,30 @@ type resKey struct {
 	name string
 }
 
-// refUse flags how a file touches a resource.
-type refUse uint8
-
-const (
-	// declares: the file declares the resource (for globals: writes it).
-	declares refUse = 1 << iota
-	// uses: the file refers to the resource (for globals: reads it).
-	uses
-)
-
-// fileRefs is the dependency-relevant surface of one parsed file: the
-// resources it declares or refers to by name, and what it includes.
-type fileRefs struct {
-	// keys maps each resource the file touches to how it touches it.
-	keys map[resKey]refUse
-
-	// includeLits are the trailing path literals of include/require
-	// expressions, normalized like the engine's resolver input.
-	includeLits []string
-}
-
-// note records one touch of a resource.
-func (r *fileRefs) note(kind resKind, name string, u refUse) {
-	r.keys[resKey{kind, name}] |= u
-}
-
-// extractRefs collects a file's dependency surface. isSuper filters the
-// engine's configured superglobals out of the global-variable edges:
-// superglobal reads mint fresh taint and writes are discarded, so they
-// carry no state between files.
-func extractRefs(f *phpast.File, isSuper func(string) bool) *fileRefs {
-	r := &fileRefs{keys: make(map[resKey]refUse)}
-
-	// Declarations, mirroring the engine's inventory walk (declarations
-	// nested inside other declarations are invisible to both).
-	phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
-		switch d := n.(type) {
-		case *phpast.FuncDecl:
-			if d.Name != "" {
-				r.note(resFunc, d.Name, declares)
-			}
-			return false
-		case *phpast.ClassDecl:
-			if d.Name != "" {
-				r.note(resClass, d.Name, declares)
-				if d.Extends != "" {
-					r.note(resClass, d.Extends, uses)
-				}
-				for _, impl := range d.Implements {
-					r.note(resClass, impl, uses)
-				}
-				for i := range d.Methods {
-					if mn := d.Methods[i].Name; mn != "" {
-						r.note(resMethod, mn, declares)
-					}
-				}
-			}
-			return false
-		}
-		return true
-	})
-
-	// Name references, everywhere in the file (function and method
-	// bodies included) — mirroring the engine's call-site inventory plus
-	// the name resolutions its evaluator performs.
-	phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
-		switch x := n.(type) {
-		case *phpast.FuncCall:
-			if x.Name != "" {
-				r.note(resFunc, x.Name, uses)
-				switch x.Name {
-				case "call_user_func", "call_user_func_array", "array_map":
-					// String-callable dispatch resolves a literal first
-					// argument to a user function.
-					if len(x.Args) > 0 {
-						if lit, ok := x.Args[0].Value.(*phpast.Literal); ok &&
-							lit.Kind == phpast.LitString && lit.Value != "" {
-							r.note(resFunc, strings.ToLower(lit.Value), uses)
-						}
-					}
-				}
-			}
-		case *phpast.MethodCall:
-			if x.Name != "" {
-				r.note(resMethod, x.Name, uses)
-			}
-		case *phpast.StaticCall:
-			if x.Name != "" {
-				r.note(resMethod, x.Name, uses)
-			}
-			if x.Class != "" {
-				r.note(resClass, x.Class, uses)
-			}
-		case *phpast.New:
-			if x.Class != "" {
-				r.note(resClass, x.Class, uses)
-				r.note(resMethod, "__construct", uses)
-				// PHP4-style constructors: "new foo" both calls a method
-				// named foo and marks a function named foo as called.
-				r.note(resMethod, x.Class, uses)
-				r.note(resFunc, x.Class, uses)
-			}
-		case *phpast.StaticPropertyFetch:
-			if x.Class != "" {
-				r.note(resClass, x.Class, uses)
-			}
-		case *phpast.IncludeExpr:
-			if lit, ok := trailingPathLiteral(x.Path); ok && lit != "" {
-				r.includeLits = append(r.includeLits, strings.TrimPrefix(lit, "/"))
-			}
-		case *phpast.Global:
-			// "global $g" aliases the shared scope for reads and writes.
-			for _, name := range x.Names {
-				r.global(name, isSuper, true, true)
-			}
-		case *phpast.IndexFetch:
-			// $GLOBALS['name'] aliases the global directly, in any scope.
-			// Position-insensitive (read+write) is conservative.
-			if base, ok := x.Base.(*phpast.Var); ok && base.Name == "GLOBALS" {
-				if key, ok := x.Index.(*phpast.Literal); ok && key.Kind == phpast.LitString {
-					r.global(key.Value, isSuper, true, true)
-				}
-			}
-		}
-		return true
-	})
-
-	// Top-level variable flow. Only top-level code (plus "global"
-	// declarations and $GLOBALS, handled above) touches the shared
-	// global scope; function, method and closure bodies get fresh
-	// scopes, so the walk stops at their boundaries.
-	for _, s := range f.Stmts {
-		r.topRead(s, isSuper)
-	}
-
-	return r
-}
-
-// global records a global-variable touch unless the name is a
-// superglobal.
-func (r *fileRefs) global(name string, isSuper func(string) bool, read, write bool) {
-	if name == "" || isSuper(name) {
-		return
-	}
-	var u refUse
-	if read {
-		u |= uses
-	}
-	if write {
-		u |= declares
-	}
-	r.note(resGlobal, name, u)
-}
-
-// topRead walks top-level code recording global reads, dispatching
-// assignment targets to topWrite and stopping at function-scope
-// boundaries.
-func (r *fileRefs) topRead(n phpast.Node, isSuper func(string) bool) {
-	switch x := n.(type) {
-	case nil:
-		return
-	case *phpast.FuncDecl, *phpast.ClassDecl:
-		// Fresh scopes; their global interactions (global/$GLOBALS) are
-		// collected by the whole-file walk above.
-		return
-	case *phpast.Closure:
-		// The body runs in a fresh scope; only use-clause captures read
-		// the enclosing (here: global) scope.
-		for _, u := range x.Uses {
-			r.global(u.Name, isSuper, true, false)
-		}
-		return
-	case *phpast.Var:
-		r.global(x.Name, isSuper, true, false)
-		return
-	case *phpast.Assign:
-		r.topWrite(x.LHS, isSuper)
-		r.topRead(x.RHS, isSuper)
-		return
-	case *phpast.IncDec:
-		r.topWrite(x.X, isSuper)
-		return
-	case *phpast.Foreach:
-		r.topRead(x.Expr, isSuper)
-		if x.Key != nil {
-			r.topWrite(x.Key, isSuper)
-		}
-		if x.Value != nil {
-			r.topWrite(x.Value, isSuper)
-		}
-		for _, s := range x.Body {
-			r.topRead(s, isSuper)
-		}
-		return
-	case *phpast.Unset:
-		for _, t := range x.Vars {
-			r.topWrite(t, isSuper)
-		}
-		return
-	case *phpast.StaticVars:
-		for _, sv := range x.Vars {
-			if sv.Default != nil {
-				r.topRead(sv.Default, isSuper)
-			}
-			r.global(sv.Name, isSuper, false, true)
-		}
-		return
-	}
-	phpast.EachChild(n, func(c phpast.Node) { r.topRead(c, isSuper) })
-}
-
-// topWrite records the variables written by storing into lhs at top
-// level. Assignment targets are conservatively marked read+write
-// (compound assignments and element stores read the old value).
-func (r *fileRefs) topWrite(lhs phpast.Expr, isSuper func(string) bool) {
-	switch t := lhs.(type) {
-	case nil:
-		return
-	case *phpast.Var:
-		r.global(t.Name, isSuper, true, true)
-	case *phpast.IndexFetch:
-		// Element store taints the whole container; $GLOBALS['x'] is
-		// handled by the whole-file walk.
-		r.topWrite(t.Base, isSuper)
-		if t.Index != nil {
-			r.topRead(t.Index, isSuper)
-		}
-	case *phpast.PropertyFetch:
-		r.topRead(t.Object, isSuper)
-		if t.NameExpr != nil {
-			r.topRead(t.NameExpr, isSuper)
-		}
-	case *phpast.ListExpr:
-		for _, target := range t.Targets {
-			r.topWrite(target, isSuper)
-		}
-	case *phpast.StaticPropertyFetch:
-		// Class-level state; covered by the class-name resource.
-	default:
-		r.topRead(lhs, isSuper)
-	}
-}
-
-// trailingPathLiteral extracts the rightmost string-literal component of
-// an include path expression, exactly like the engine's resolver.
-func trailingPathLiteral(e phpast.Expr) (string, bool) {
-	switch x := e.(type) {
-	case *phpast.Literal:
-		if x.Kind == phpast.LitString {
-			return x.Value, true
-		}
-	case *phpast.Binary:
-		if x.Op == "." {
-			return trailingPathLiteral(x.R)
-		}
-	case *phpast.InterpString:
-		if n := len(x.Parts); n > 0 {
-			return trailingPathLiteral(x.Parts[n-1])
-		}
-	}
-	return "", false
-}
-
 // Graph partitions a snapshot's files into dependency components.
 type Graph struct {
 	paths  []string // sorted
-	index  map[string]int
 	parent []int
 }
 
-// BuildGraph extracts every file's dependency surface and unions files
-// that share a resource. Resources are keyed names — functions, methods,
+// BuildGraph unions files that share a resource, reading each file's
+// dependency surface from the facts its parse recorded (phpast.Facts),
+// so a warm scan's cached ASTs bring their surfaces with them and the
+// graph walks no AST. Resources are keyed names — functions, methods,
 // classes, globals — and a resource only links files when someone
 // *declares* it (for globals: writes it); references to undeclared names
 // resolve to built-ins or to nothing and carry no cross-file state.
 // Method and class-constructor resources are name-only (class-agnostic),
 // matching the engine's called-name inventory, which suppresses the
-// uncalled-function pass by bare name. Include edges link the includer
-// to every file its path literal *could* resolve to, because the
-// engine's basename-suffix resolution scans the whole file list and must
-// see the same candidates in any sub-scope.
+// uncalled-function pass by bare name. isSuper filters the engine's
+// configured superglobals out of the global-variable edges: superglobal
+// reads mint fresh taint and writes are discarded, so they carry no
+// state between files. Include edges link the includer to every
+// candidate resolution (taint.IncludeResolver), because the engine's
+// basename-suffix resolution scans the whole file list and must see the
+// same candidates in any sub-scope.
 func BuildGraph(files map[string]*phpast.File, isSuper func(string) bool) *Graph {
-	g := &Graph{
-		paths: make([]string, 0, len(files)),
-		index: make(map[string]int, len(files)),
-	}
+	g := &Graph{paths: make([]string, 0, len(files))}
 	for p := range files {
 		g.paths = append(g.paths, p)
 	}
@@ -334,83 +72,101 @@ func BuildGraph(files map[string]*phpast.File, isSuper func(string) bool) *Graph
 	g.parent = make([]int, len(g.paths))
 	for i := range g.parent {
 		g.parent[i] = i
-		g.index[g.paths[i]] = i
 	}
-
 	if isSuper == nil {
 		isSuper = func(string) bool { return false }
+	}
+	facts := make([]*phpast.Facts, len(g.paths))
+	for i, p := range g.paths {
+		facts[i] = files[p].Facts()
 	}
 
 	// A resource links its declarers to each other and its users to its
 	// declarers, so every toucher of a declared resource is unioned with
-	// its first declarer.
-	refs := make([]*fileRefs, len(g.paths))
+	// its first declarer. Declarations nested inside other declarations
+	// are invisible to the engine's inventory, and so to the facts.
 	first := make(map[resKey]int)
-	for i, p := range g.paths {
-		r := extractRefs(files[p], isSuper)
-		refs[i] = r
-		for k, u := range r.keys {
-			if u&declares == 0 {
-				continue
-			}
+	for i, f := range facts {
+		declare := func(kind resKind, name string) {
+			k := resKey{kind, name}
 			if d0, ok := first[k]; ok {
 				g.union(d0, i)
 			} else {
 				first[k] = i
 			}
 		}
-	}
-	for i, r := range refs {
-		for k, u := range r.keys {
-			if u&uses == 0 {
-				continue
+		for _, d := range f.Funcs {
+			declare(resFunc, d.Name)
+		}
+		for _, d := range f.Classes {
+			declare(resClass, d.Name)
+			for j := range d.Methods {
+				if mn := d.Methods[j].Name; mn != "" {
+					declare(resMethod, mn)
+				}
 			}
-			if d0, ok := first[k]; ok {
+		}
+		for _, gl := range f.Globals {
+			if gl.Write && !isSuper(gl.Name) {
+				declare(resGlobal, gl.Name)
+			}
+		}
+	}
+	for i, f := range facts {
+		use := func(kind resKind, name string) {
+			if d0, ok := first[resKey{kind, name}]; ok {
 				g.union(d0, i)
+			}
+		}
+		for _, d := range f.Classes {
+			if d.Extends != "" {
+				use(resClass, d.Extends)
+			}
+			for _, impl := range d.Implements {
+				use(resClass, impl)
+			}
+		}
+		// Name references, everywhere in the file (function and method
+		// bodies included), mirror the engine's call-site inventory plus
+		// the name resolutions its evaluator performs: string-callable
+		// dispatch, and "new foo", which may run a PHP 4 constructor
+		// method named foo.
+		for _, name := range f.CalledFuncs {
+			use(resFunc, name)
+		}
+		for _, name := range f.Callbacks {
+			use(resFunc, name)
+		}
+		for _, name := range f.CalledMethods {
+			if name != "" {
+				use(resMethod, name)
+			}
+		}
+		for _, name := range f.Constructed {
+			use(resClass, name)
+			use(resMethod, name)
+		}
+		for _, name := range f.ClassRefs {
+			use(resClass, name)
+		}
+		for _, gl := range f.Globals {
+			if gl.Read && !isSuper(gl.Name) {
+				use(resGlobal, gl.Name)
 			}
 		}
 	}
 
 	// Include edges: link each includer to every candidate resolution.
-	for i, r := range refs {
-		for _, lit := range r.includeLits {
-			for _, j := range g.includeCandidates(g.paths[i], lit) {
+	includes := taint.NewIncludeResolver(g.paths)
+	for i, f := range facts {
+		for _, lit := range f.Includes {
+			includes.Candidates(g.paths[i], lit, func(j int) bool {
 				g.union(i, j)
-			}
+				return true
+			})
 		}
 	}
-
 	return g
-}
-
-// includeCandidates returns the indices of every file an include literal
-// could resolve to: the exact target-relative path, the path relative to
-// the including file's directory, and every basename-suffix match — a
-// superset containing the engine's actual resolution in any scan scope.
-func (g *Graph) includeCandidates(fromFile, lit string) []int {
-	var out []int
-	if j, ok := g.index[lit]; ok {
-		out = append(out, j)
-	}
-	if dir := dirOf(fromFile); dir != "" {
-		if j, ok := g.index[dir+"/"+lit]; ok {
-			out = append(out, j)
-		}
-	}
-	for j, p := range g.paths {
-		if strings.HasSuffix(p, "/"+lit) || p == lit {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// dirOf returns the directory part of a slash-separated path, or "".
-func dirOf(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[:i]
-	}
-	return ""
 }
 
 // find is union-find root lookup with path compression.

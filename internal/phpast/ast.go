@@ -628,4 +628,8 @@ type File struct {
 	// Steps counts the governor steps this file's lex and parse took
 	// (zero when ungoverned), so a cached copy is charged like a parse.
 	Steps int64
+
+	// facts is what the parser recorded while building the tree (see
+	// Facts); nil for a File built any other way.
+	facts *Facts
 }

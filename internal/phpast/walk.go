@@ -17,20 +17,6 @@ func InspectStmts(list []Stmt, f func(Node) bool) {
 	}
 }
 
-// CountNodes returns the number of AST nodes in a file, the size figure
-// the observability layer reports per parse (parse_ast_nodes_total).
-func CountNodes(f *File) int {
-	if f == nil {
-		return 0
-	}
-	n := 0
-	InspectStmts(f.Stmts, func(Node) bool {
-		n++
-		return true
-	})
-	return n
-}
-
 // EachChild calls fn for each direct child node of n in source order,
 // skipping nil children. Leaves and unknown node types have none. It is
 // exhaustive over the node types defined in this package and is the one

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync"
 	"unsafe"
 
 	"repro/internal/govern"
@@ -29,7 +30,7 @@ type Options struct {
 	// under Parent (with a nested "lex" span from the lexer), parse time
 	// in the stage_parse_seconds histogram, and the
 	// parse_ast_nodes_total / parse_errors_total / parse_files_total
-	// counters. The counting walk only runs when it is set.
+	// counters.
 	Recorder *obs.Recorder
 	Parent   *obs.Span
 	// Gov is the scan's resource governor: lexing and statement parsing
@@ -52,34 +53,45 @@ type Options struct {
 
 // Parse parses PHP source text and returns the file's AST. The returned
 // file always has a usable (possibly partial) statement list; recoverable
-// problems are listed in File.Errors.
+// problems are listed in File.Errors, and what the parse recorded while
+// building the tree in File.Facts.
 func Parse(name, src string, o Options) *phpast.File {
 	rec := o.Recorder
 	sp := rec.StartNamedSpan("parse:", name, o.Parent)
-	p := &parser{
-		toks: phplex.TokenizeCode(src, rec, sp, o.Gov),
-		file: &phpast.File{
-			Name:  name,
-			Lines: strings.Count(src, "\n") + 1,
-		},
-		gov:      o.Gov,
-		maxDepth: o.Gov.MaxParseDepth(),
-		in:       o.Interner,
-	}
+	p := parsers.Get().(*parser)
+	p.toks = phplex.TokenizeCode(src, rec, sp, o.Gov)
+	p.file = phpast.NewFile(name, strings.Count(src, "\n")+1)
+	p.gov = o.Gov
+	p.maxDepth = o.Gov.MaxParseDepth()
+	p.in = o.Interner
 	p.sizeSlabs()
-	p.file.Stmts = p.parseStmtList(func(t phptoken.Token) bool { return false })
+	p.file.Stmts = p.parseStmtList(stopNever)
 	// The AST holds no references into the token stream (names are
 	// substrings of src or interned copies), so the buffer can go back
 	// to the pool as soon as parsing is done.
 	phplex.PutTokens(p.toks)
-	p.toks = nil
+	f := p.file
+	facts := f.Facts()
+	p.fillFacts(facts)
+	p.release()
 	sp.EndAndObserve("stage_parse_seconds")
 	if rec != nil {
 		rec.Counter("parse_files_total").Inc()
-		rec.Counter("parse_ast_nodes_total").Add(int64(phpast.CountNodes(p.file)))
-		rec.Counter("parse_errors_total").Add(int64(len(p.file.Errors)))
+		rec.Counter("parse_ast_nodes_total").Add(int64(facts.Nodes))
+		rec.Counter("parse_errors_total").Add(int64(len(f.Errors)))
 	}
-	return p.file
+	return f
+}
+
+// parsers keeps parsers between parses, so their scratch stacks and
+// fact lists keep the capacity they grew to.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// release clears the parse's state, keeping only the emptied scratch,
+// and returns p to the pool. Nothing it keeps refers into the AST.
+func (p *parser) release() {
+	*p = parser{scratch: p.scratch}
+	parsers.Put(p)
 }
 
 // parser holds the token cursor and the file being built.
@@ -112,12 +124,33 @@ type parser struct {
 	echoes    slab[phpast.Echo]
 	argSlab   slab[phpast.Arg]
 
+	// nodes counts the nodes built.
+	nodes int
+	// declDepth counts the function and class declarations being
+	// parsed around the cursor, and scopes those plus the closures: code
+	// at scopes zero runs in the shared global scope.
+	declDepth, scopes int
+
+	scratch
+}
+
+// scratch is the per-parse working memory a pooled parser keeps: the
+// lists a parse collects are emptied, not freed, when it ends.
+type scratch struct {
 	// The scratch stacks list parsers collect items on before copying
 	// each finished list out at its exact length.
 	stmts stack[phpast.Stmt]
 	exprs stack[phpast.Expr]
 	args  stack[phpast.Arg]
 	items stack[phpast.ArrayItem]
+
+	// The facts recorded so far, in the order the parse met them: the
+	// declarations, and a journal of every other fact (see fillFacts).
+	decls   []phpast.Stmt
+	journal []fact
+	// distinct and table are where fillFacts gathers each name's kinds.
+	distinct []fact
+	table    []int32
 }
 
 // lower case-folds an identifier through the intern table. It replaces
@@ -151,12 +184,13 @@ func (p *parser) leaveNesting() { p.depth-- }
 // every caller's loop) and returns a placeholder expression.
 func (p *parser) badExprOverDepth() phpast.Expr {
 	line := p.next().Line
-	return &phpast.BadExpr{Reason: "nesting depth budget exceeded", Position: phpast.NewPosition(line)}
+	return counted(p, &phpast.BadExpr{Reason: "nesting depth budget exceeded", Position: phpast.NewPosition(line)})
 }
 
 // cur returns the current token. The stream ends in EOF and the cursor
 // never moves past it, so at the end cur keeps returning that EOF.
-func (p *parser) cur() phptoken.Token { return p.toks[p.pos] }
+// Tokens are returned by address, which stays valid for the parse.
+func (p *parser) cur() *phptoken.Token { return &p.toks[p.pos] }
 
 // peek returns the token n positions ahead.
 func (p *parser) peek(n int) phptoken.Token {
@@ -167,8 +201,8 @@ func (p *parser) peek(n int) phptoken.Token {
 }
 
 // next consumes and returns the current token; at EOF it stays put.
-func (p *parser) next() phptoken.Token {
-	t := p.toks[p.pos]
+func (p *parser) next() *phptoken.Token {
+	t := &p.toks[p.pos]
 	if t.Kind != phptoken.EOF {
 		p.pos++
 	}
@@ -211,7 +245,7 @@ func (p *parser) position() int { return p.cur().Line }
 // parseStmtList parses statements until EOF or until stop returns true for
 // the current token. It guarantees forward progress even on malformed
 // input.
-func (p *parser) parseStmtList(stop func(phptoken.Token) bool) []phpast.Stmt {
+func (p *parser) parseStmtList(stop func(*phptoken.Token) bool) []phpast.Stmt {
 	mark := p.stmts.mark()
 	for {
 		p.gov.Step()
@@ -233,18 +267,21 @@ func (p *parser) parseStmtList(stop func(phptoken.Token) bool) []phpast.Stmt {
 			// No progress: consume the offending token to avoid loops.
 			bad := p.next()
 			p.errorf("line %d: unexpected token %v", bad.Line, bad.Kind)
-			p.stmts.push(&phpast.BadStmt{
+			p.stmts.push(counted(p, &phpast.BadStmt{
 				Reason:   "unexpected " + bad.Kind.String(),
 				Position: phpast.NewPosition(bad.Line),
-			})
+			}))
 		}
 	}
 	return p.stmts.popTo(mark, nil)
 }
 
+// stopNever is the stop predicate of the file's top-level list.
+func stopNever(*phptoken.Token) bool { return false }
+
 // stopAt returns a stop predicate matching any of the given kinds.
-func stopAt(kinds ...phptoken.Kind) func(phptoken.Token) bool {
-	return func(t phptoken.Token) bool {
+func stopAt(kinds ...phptoken.Kind) func(*phptoken.Token) bool {
+	return func(t *phptoken.Token) bool {
 		for _, k := range kinds {
 			if t.Kind == k {
 				return true
@@ -256,8 +293,8 @@ func stopAt(kinds ...phptoken.Kind) func(phptoken.Token) bool {
 
 // stopAtIdents returns a stop predicate matching Ident tokens with any of
 // the given case-insensitive spellings (used for endif/endwhile/...).
-func stopAtIdents(names ...string) func(phptoken.Token) bool {
-	return func(t phptoken.Token) bool {
+func stopAtIdents(names ...string) func(*phptoken.Token) bool {
+	return func(t *phptoken.Token) bool {
 		if t.Kind != phptoken.Ident {
 			return false
 		}
@@ -275,7 +312,7 @@ func stopAtIdents(names ...string) func(phptoken.Token) bool {
 func (p *parser) parseStmt() phpast.Stmt {
 	if !p.enterNesting() {
 		line := p.next().Line
-		return &phpast.BadStmt{Reason: "nesting depth budget exceeded", Position: phpast.NewPosition(line)}
+		return counted(p, &phpast.BadStmt{Reason: "nesting depth budget exceeded", Position: phpast.NewPosition(line)})
 	}
 	s := p.parseStmtTail()
 	p.leaveNesting()
@@ -313,7 +350,7 @@ func (p *parser) parseStmtTail() phpast.Stmt {
 		p.next()
 		body := p.parseStmtList(stopAt(phptoken.RBrace))
 		p.expect(phptoken.RBrace, "block")
-		return &phpast.Block{List: body, Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Block{List: body, Position: phpast.NewPosition(t.Line)})
 	case phptoken.KwIf:
 		return p.parseIf()
 	case phptoken.KwWhile:
@@ -333,17 +370,17 @@ func (p *parser) parseStmtTail() phpast.Stmt {
 			x = p.parseExpr()
 		}
 		p.endStmt()
-		return &phpast.Return{X: x, Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Return{X: x, Position: phpast.NewPosition(t.Line)})
 	case phptoken.KwBreak:
 		p.next()
 		p.skipOptionalLevel()
 		p.endStmt()
-		return &phpast.Break{Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Break{Position: phpast.NewPosition(t.Line)})
 	case phptoken.KwContinue:
 		p.next()
 		p.skipOptionalLevel()
 		p.endStmt()
-		return &phpast.Continue{Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Continue{Position: phpast.NewPosition(t.Line)})
 	case phptoken.KwGlobal:
 		return p.parseGlobal()
 	case phptoken.KwStatic:
@@ -372,7 +409,7 @@ func (p *parser) parseStmtTail() phpast.Stmt {
 		p.next()
 		x := p.parseExpr()
 		p.endStmt()
-		return &phpast.Throw{X: x, Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Throw{X: x, Position: phpast.NewPosition(t.Line)})
 	case phptoken.KwTry:
 		return p.parseTry()
 	case phptoken.KwNamespace:
@@ -447,7 +484,7 @@ func (p *parser) parseExprStmt() phpast.Stmt {
 func (p *parser) parseIf() phpast.Stmt {
 	line := p.next().Line // if
 	cond := p.parseParenExpr("if condition")
-	node := &phpast.If{Cond: cond, Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.If{Cond: cond, Position: phpast.NewPosition(line)})
 
 	if p.accept(phptoken.Colon) {
 		// Alternative syntax: if (c): ... elseif: ... else: ... endif;
@@ -503,8 +540,8 @@ func (p *parser) parseIf() phpast.Stmt {
 
 // parseStmtListAlt parses an alternative-syntax body: statements until
 // elseif/else/case markers or the named end keyword.
-func (p *parser) parseStmtListAlt(stopEnd func(phptoken.Token) bool) []phpast.Stmt {
-	return p.parseStmtList(func(t phptoken.Token) bool {
+func (p *parser) parseStmtListAlt(stopEnd func(*phptoken.Token) bool) []phpast.Stmt {
+	return p.parseStmtList(func(t *phptoken.Token) bool {
 		if t.Kind == phptoken.KwElseif || t.Kind == phptoken.KwElse {
 			return true
 		}
@@ -547,7 +584,7 @@ func (p *parser) parseBody() []phpast.Stmt {
 func (p *parser) parseWhile() phpast.Stmt {
 	line := p.next().Line
 	cond := p.parseParenExpr("while condition")
-	node := &phpast.While{Cond: cond, Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.While{Cond: cond, Position: phpast.NewPosition(line)})
 	if p.accept(phptoken.Colon) {
 		node.Body = p.parseStmtList(stopAtIdents("endwhile"))
 		p.acceptIdent("endwhile")
@@ -569,13 +606,13 @@ func (p *parser) parseDoWhile() phpast.Stmt {
 		p.errorf("line %d: expected 'while' after do body", p.cur().Line)
 	}
 	p.endStmt()
-	return &phpast.DoWhile{Body: body, Cond: cond, Position: phpast.NewPosition(line)}
+	return counted(p, &phpast.DoWhile{Body: body, Cond: cond, Position: phpast.NewPosition(line)})
 }
 
 // parseFor parses for (init; cond; post) body.
 func (p *parser) parseFor() phpast.Stmt {
 	line := p.next().Line
-	node := &phpast.For{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.For{Position: phpast.NewPosition(line)})
 	p.expect(phptoken.LParen, "for")
 	node.Init = p.parseExprListUntil(stopAt(phptoken.Semicolon))
 	p.accept(phptoken.Semicolon)
@@ -596,7 +633,7 @@ func (p *parser) parseFor() phpast.Stmt {
 // parseForeach parses foreach (expr as [$k =>] [&]$v) body.
 func (p *parser) parseForeach() phpast.Stmt {
 	line := p.next().Line
-	node := &phpast.Foreach{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.Foreach{Position: phpast.NewPosition(line)})
 	p.expect(phptoken.LParen, "foreach")
 	node.Expr = p.parseExpr()
 	p.expect(phptoken.KwAs, "foreach")
@@ -604,9 +641,11 @@ func (p *parser) parseForeach() phpast.Stmt {
 	if p.accept(phptoken.DoubleArrow) {
 		node.Key = first
 		node.Value = p.parseForeachTarget(&node.ByRef)
+		p.noteStore(node.Key)
 	} else {
 		node.Value = first
 	}
+	p.noteStore(node.Value)
 	p.expect(phptoken.RParen, "foreach")
 	if p.accept(phptoken.Colon) {
 		node.Body = p.parseStmtList(stopAtIdents("endforeach"))
@@ -626,13 +665,13 @@ func (p *parser) parseForeachTarget(byRef *bool) phpast.Expr {
 	if p.at(phptoken.KwList) {
 		return p.parseListExpr()
 	}
-	return p.parsePostfix(p.parsePrimary())
+	return p.parseOperand()
 }
 
 // parseSwitch parses switch statements in both syntaxes.
 func (p *parser) parseSwitch() phpast.Stmt {
 	line := p.next().Line
-	node := &phpast.Switch{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.Switch{Position: phpast.NewPosition(line)})
 	node.Cond = p.parseParenExpr("switch")
 
 	alt := false
@@ -641,7 +680,7 @@ func (p *parser) parseSwitch() phpast.Stmt {
 	} else {
 		p.expect(phptoken.LBrace, "switch body")
 	}
-	stopBody := func(t phptoken.Token) bool {
+	stopBody := func(t *phptoken.Token) bool {
 		if t.Kind == phptoken.KwCase || t.Kind == phptoken.KwDefault {
 			return true
 		}
@@ -691,9 +730,12 @@ func (p *parser) parseSwitch() phpast.Stmt {
 // parseGlobal parses global $a, $b;
 func (p *parser) parseGlobal() phpast.Stmt {
 	line := p.next().Line
-	node := &phpast.Global{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.Global{Position: phpast.NewPosition(line)})
 	for p.at(phptoken.Variable) {
-		node.Names = append(node.Names, strings.TrimPrefix(p.next().Text, "$"))
+		name := strings.TrimPrefix(p.next().Text, "$")
+		// "global $g" aliases the shared scope for reads and writes.
+		p.noteGlobal(name, factRead|factWrite)
+		node.Names = append(node.Names, name)
 		if !p.accept(phptoken.Comma) {
 			break
 		}
@@ -705,11 +747,14 @@ func (p *parser) parseGlobal() phpast.Stmt {
 // parseStaticVars parses static $a = 1, $b;
 func (p *parser) parseStaticVars() phpast.Stmt {
 	line := p.next().Line
-	node := &phpast.StaticVars{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.StaticVars{Position: phpast.NewPosition(line)})
 	for p.at(phptoken.Variable) {
 		v := phpast.StaticVar{Name: strings.TrimPrefix(p.next().Text, "$")}
 		if p.accept(phptoken.Assign) {
 			v.Default = p.parseExpr()
+		}
+		if p.scopes == 0 {
+			p.noteGlobal(v.Name, factWrite)
 		}
 		node.Vars = append(node.Vars, v)
 		if !p.accept(phptoken.Comma) {
@@ -723,10 +768,12 @@ func (p *parser) parseStaticVars() phpast.Stmt {
 // parseUnset parses unset($a, $b);
 func (p *parser) parseUnset() phpast.Stmt {
 	line := p.next().Line
-	node := &phpast.Unset{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.Unset{Position: phpast.NewPosition(line)})
 	p.expect(phptoken.LParen, "unset")
 	for !p.at(phptoken.RParen) && !p.at(phptoken.EOF) {
-		node.Vars = append(node.Vars, p.parseExpr())
+		x := p.parseExpr()
+		p.noteStore(x)
+		node.Vars = append(node.Vars, x)
 		if !p.accept(phptoken.Comma) {
 			break
 		}
@@ -739,7 +786,7 @@ func (p *parser) parseUnset() phpast.Stmt {
 // parseTry parses try/catch/finally.
 func (p *parser) parseTry() phpast.Stmt {
 	line := p.next().Line
-	node := &phpast.Try{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.Try{Position: phpast.NewPosition(line)})
 	p.expect(phptoken.LBrace, "try")
 	node.Body = p.parseStmtList(stopAt(phptoken.RBrace))
 	p.expect(phptoken.RBrace, "try")
@@ -771,7 +818,7 @@ func (p *parser) parseTry() phpast.Stmt {
 // parseFuncDecl parses a named function declaration.
 func (p *parser) parseFuncDecl() phpast.Stmt {
 	line := p.next().Line // function
-	node := &phpast.FuncDecl{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.FuncDecl{Position: phpast.NewPosition(line)})
 	if p.accept(phptoken.Amp) {
 		node.ByRefReturn = true
 	}
@@ -781,6 +828,8 @@ func (p *parser) parseFuncDecl() phpast.Stmt {
 	} else {
 		p.errorf("line %d: expected function name", p.cur().Line)
 	}
+	p.noteDecl(node, node.Name)
+	p.enterDecl()
 	node.Params = p.parseParams()
 	if p.accept(phptoken.LBrace) {
 		node.Body = p.parseStmtList(stopAt(phptoken.RBrace))
@@ -788,6 +837,7 @@ func (p *parser) parseFuncDecl() phpast.Stmt {
 	} else {
 		p.errorf("line %d: expected function body", p.cur().Line)
 	}
+	p.leaveDecl()
 	return node
 }
 
@@ -830,7 +880,7 @@ func (p *parser) parseParams() []phpast.Param {
 
 // parseClassDecl parses class, interface and trait declarations.
 func (p *parser) parseClassDecl() phpast.Stmt {
-	node := &phpast.ClassDecl{Position: phpast.NewPosition(p.position())}
+	node := counted(p, &phpast.ClassDecl{Position: phpast.NewPosition(p.position())})
 	for {
 		switch p.cur().Kind {
 		case phptoken.KwAbstract:
@@ -856,6 +906,8 @@ func (p *parser) parseClassDecl() phpast.Stmt {
 		node.OrigName = p.next().Text
 		node.Name = p.lower(node.OrigName)
 	}
+	p.noteDecl(node, node.Name)
+	p.enterDecl()
 	if p.accept(phptoken.KwExtends) {
 		if p.at(phptoken.Ident) {
 			node.Extends = p.lower(p.next().Text)
@@ -872,6 +924,7 @@ func (p *parser) parseClassDecl() phpast.Stmt {
 	p.expect(phptoken.LBrace, "class body")
 	p.parseClassBody(node)
 	p.expect(phptoken.RBrace, "class body")
+	p.leaveDecl()
 	return node
 }
 
@@ -1000,7 +1053,7 @@ func (p *parser) memberName() (string, bool) {
 
 // parseExprListUntil parses a comma-separated expression list until the
 // stop predicate matches.
-func (p *parser) parseExprListUntil(stop func(phptoken.Token) bool) []phpast.Expr {
+func (p *parser) parseExprListUntil(stop func(*phptoken.Token) bool) []phpast.Expr {
 	mark := p.exprs.mark()
 	for {
 		t := p.cur()
@@ -1082,6 +1135,7 @@ func (p *parser) parseAssign() phpast.Expr {
 		node.ByRef = true
 	}
 	node.RHS = p.parseAssign()
+	p.noteStore(left)
 	return node
 }
 
@@ -1092,7 +1146,7 @@ func (p *parser) parseTernary() phpast.Expr {
 		return cond
 	}
 	line := p.next().Line
-	node := &phpast.Ternary{Cond: cond, Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.Ternary{Cond: cond, Position: phpast.NewPosition(line)})
 	if !p.at(phptoken.Colon) {
 		node.Then = p.parseExpr()
 	}
@@ -1189,16 +1243,24 @@ func (p *parser) parseBinary(min int) phpast.Expr {
 	}
 }
 
-// castNames maps cast token kinds to canonical type names.
-var castNames = map[phptoken.Kind]string{
-	phptoken.IntCast:    "int",
-	phptoken.FloatCast:  "float",
-	phptoken.StringCast: "string",
-	phptoken.ArrayCast:  "array",
-	phptoken.ObjectCast: "object",
-	phptoken.BoolCast:   "bool",
-	phptoken.UnsetCast:  "unset",
-}
+// castNames maps cast token kinds to canonical type names, indexed by
+// kind; other kinds map to "". Every operand looks its first token up
+// here.
+var castNames = func() []string {
+	names := make([]string, phptoken.KindCount())
+	for k, name := range map[phptoken.Kind]string{
+		phptoken.IntCast:    "int",
+		phptoken.FloatCast:  "float",
+		phptoken.StringCast: "string",
+		phptoken.ArrayCast:  "array",
+		phptoken.ObjectCast: "object",
+		phptoken.BoolCast:   "bool",
+		phptoken.UnsetCast:  "unset",
+	} {
+		names[k] = name
+	}
+	return names
+}()
 
 // parseUnary parses prefix operators, casts and the expression keywords.
 func (p *parser) parseUnary() phpast.Expr {
@@ -1217,46 +1279,43 @@ func (p *parser) parseUnaryTail() phpast.Expr {
 	switch t.Kind {
 	case phptoken.Bang:
 		p.next()
-		return &phpast.Unary{Op: "!", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Unary{Op: "!", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)})
 	case phptoken.Minus:
 		p.next()
-		return &phpast.Unary{Op: "-", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Unary{Op: "-", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)})
 	case phptoken.Plus:
 		p.next()
-		return &phpast.Unary{Op: "+", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Unary{Op: "+", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)})
 	case phptoken.Tilde:
 		p.next()
-		return &phpast.Unary{Op: "~", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Unary{Op: "~", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)})
 	case phptoken.At:
 		p.next()
-		return &phpast.Unary{Op: "@", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)}
-	case phptoken.Inc:
+		return counted(p, &phpast.Unary{Op: "@", X: p.parseUnary(), Position: phpast.NewPosition(t.Line)})
+	case phptoken.Inc, phptoken.Dec:
 		p.next()
-		return &phpast.IncDec{Op: "++", X: p.parseUnary(), Prefix: true, Position: phpast.NewPosition(t.Line)}
-	case phptoken.Dec:
-		p.next()
-		return &phpast.IncDec{Op: "--", X: p.parseUnary(), Prefix: true, Position: phpast.NewPosition(t.Line)}
+		return p.incDec(t, p.parseUnary(), true)
 	case phptoken.KwPrint:
 		p.next()
-		return &phpast.PrintExpr{X: p.parseExpr(), Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.PrintExpr{X: p.parseExpr(), Position: phpast.NewPosition(t.Line)})
 	case phptoken.KwClone:
 		p.next()
-		return &phpast.CloneExpr{X: p.parseUnary(), Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.CloneExpr{X: p.parseUnary(), Position: phpast.NewPosition(t.Line)})
 	case phptoken.KwNew:
 		return p.parseNew()
 	case phptoken.KwInclude, phptoken.KwIncludeOnce, phptoken.KwRequire, phptoken.KwRequireOnce:
-		kindMap := map[phptoken.Kind]phpast.IncludeKind{
-			phptoken.KwInclude:     phpast.IncInclude,
-			phptoken.KwIncludeOnce: phpast.IncIncludeOnce,
-			phptoken.KwRequire:     phpast.IncRequire,
-			phptoken.KwRequireOnce: phpast.IncRequireOnce,
-		}
-		kind := kindMap[t.Kind]
+		kind := includeKinds[t.Kind]
 		p.next()
-		return &phpast.IncludeExpr{Kind: kind, Path: p.parseExpr(), Position: phpast.NewPosition(t.Line)}
+		// Reserve the include's slot before its path, which may hold
+		// includes of its own, so the facts list them in AST order.
+		slot := len(p.journal)
+		p.note(factInclude, "")
+		node := counted(p, &phpast.IncludeExpr{Kind: kind, Path: p.parseExpr(), Position: phpast.NewPosition(t.Line)})
+		p.journal[slot].name = node.Literal()
+		return node
 	case phptoken.KwExit:
 		p.next()
-		node := &phpast.ExitExpr{Position: phpast.NewPosition(t.Line)}
+		node := counted(p, &phpast.ExitExpr{Position: phpast.NewPosition(t.Line)})
 		if p.accept(phptoken.LParen) {
 			if !p.at(phptoken.RParen) {
 				node.X = p.parseExpr()
@@ -1265,11 +1324,11 @@ func (p *parser) parseUnaryTail() phpast.Expr {
 		}
 		return node
 	}
-	if name, ok := castNames[t.Kind]; ok {
+	if name := castNames[t.Kind]; name != "" {
 		p.next()
-		return &phpast.Cast{Type: name, X: p.parseUnary(), Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.Cast{Type: name, X: p.parseUnary(), Position: phpast.NewPosition(t.Line)})
 	}
-	x := p.parsePostfix(p.parsePrimary())
+	x := p.parseOperand()
 	if p.at(phptoken.KwInstanceof) {
 		line := p.next().Line
 		cls := ""
@@ -1278,15 +1337,23 @@ func (p *parser) parseUnaryTail() phpast.Expr {
 		} else if p.at(phptoken.Variable) {
 			p.next()
 		}
-		return &phpast.InstanceOf{X: x, Class: cls, Position: phpast.NewPosition(line)}
+		return counted(p, &phpast.InstanceOf{X: x, Class: cls, Position: phpast.NewPosition(line)})
 	}
 	return x
+}
+
+// includeKinds maps the include-family keywords to their kinds.
+var includeKinds = map[phptoken.Kind]phpast.IncludeKind{
+	phptoken.KwInclude:     phpast.IncInclude,
+	phptoken.KwIncludeOnce: phpast.IncIncludeOnce,
+	phptoken.KwRequire:     phpast.IncRequire,
+	phptoken.KwRequireOnce: phpast.IncRequireOnce,
 }
 
 // parseNew parses new ClassName(args) and new $var(args).
 func (p *parser) parseNew() phpast.Expr {
 	line := p.next().Line // new
-	node := &phpast.New{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.New{Position: phpast.NewPosition(line)})
 	switch {
 	case p.at(phptoken.Ident):
 		node.Class = p.lower(p.next().Text)
@@ -1294,10 +1361,11 @@ func (p *parser) parseNew() phpast.Expr {
 		node.Class = "static"
 		p.next()
 	case p.at(phptoken.Variable):
-		node.ClassExpr = p.parsePostfix(p.parsePrimary())
+		node.ClassExpr = p.parseOperand()
 	default:
 		p.errorf("line %d: expected class name after new", p.cur().Line)
 	}
+	p.noteNew(node.Class)
 	if p.at(phptoken.LParen) {
 		node.Args = p.parseArgs()
 	}
@@ -1313,9 +1381,10 @@ func (p *parser) parseArgs() []phpast.Arg {
 		if p.accept(phptoken.Amp) {
 			a.ByRef = true
 		}
-		before := p.pos
+		before, mark := p.pos, p.markFacts()
 		a.Value = p.parseExpr()
 		if p.pos == before {
+			p.dropFacts(mark)
 			p.next() // force progress on malformed input
 			continue
 		}
@@ -1328,23 +1397,29 @@ func (p *parser) parseArgs() []phpast.Arg {
 	return p.args.popTo(mark, &p.argSlab)
 }
 
-// parsePostfix parses member access, indexing, calls and postfix inc/dec
-// chained onto a primary expression.
-func (p *parser) parsePostfix(x phpast.Expr) phpast.Expr {
+// parseOperand parses a primary expression and the member access,
+// indexing, calls and postfix inc/dec chained onto it.
+func (p *parser) parseOperand() phpast.Expr {
+	mark := p.markFacts()
+	x := p.parsePrimary()
 	for {
 		t := p.cur()
 		switch t.Kind {
 		case phptoken.Arrow:
 			p.next()
-			x = p.parseMemberAccess(x, t.Line)
+			if x = p.parseMemberAccess(x, t.Line); x == nil {
+				// A missing member name drops the whole chain.
+				p.dropFacts(mark)
+				x = counted(p, &phpast.BadExpr{Reason: "missing member name", Position: phpast.NewPosition(t.Line)})
+			}
 		case phptoken.LBracket:
 			p.next()
-			node := &phpast.IndexFetch{Base: x, Position: phpast.NewPosition(t.Line)}
+			node := counted(p, &phpast.IndexFetch{Base: x, Position: phpast.NewPosition(t.Line)})
 			if !p.at(phptoken.RBracket) {
 				node.Index = p.parseExpr()
 			}
 			p.expect(phptoken.RBracket, "index")
-			x = node
+			x = p.indexFetch(node)
 		case phptoken.LBrace:
 			// String offset access $s{0} (deprecated form). Only treat "{"
 			// as an offset when directly after a variable-like expression.
@@ -1352,28 +1427,35 @@ func (p *parser) parsePostfix(x phpast.Expr) phpast.Expr {
 				return x
 			}
 			p.next()
-			node := &phpast.IndexFetch{Base: x, Position: phpast.NewPosition(t.Line)}
+			node := counted(p, &phpast.IndexFetch{Base: x, Position: phpast.NewPosition(t.Line)})
 			if !p.at(phptoken.RBrace) {
 				node.Index = p.parseExpr()
 			}
 			p.expect(phptoken.RBrace, "string offset")
-			x = node
+			x = p.indexFetch(node)
 		case phptoken.LParen:
 			// Dynamic call through a variable-like expression.
 			if !isVarLike(x) {
 				return x
 			}
 			x = p.funcCall(t.Line, "", x)
-		case phptoken.Inc:
+		case phptoken.Inc, phptoken.Dec:
 			p.next()
-			x = &phpast.IncDec{Op: "++", X: x, Position: phpast.NewPosition(t.Line)}
-		case phptoken.Dec:
-			p.next()
-			x = &phpast.IncDec{Op: "--", X: x, Position: phpast.NewPosition(t.Line)}
+			x = p.incDec(t, x, false)
 		default:
 			return x
 		}
 	}
+}
+
+// incDec builds the increment or decrement that token t spells.
+func (p *parser) incDec(t *phptoken.Token, x phpast.Expr, prefix bool) *phpast.IncDec {
+	op := "++"
+	if t.Kind == phptoken.Dec {
+		op = "--"
+	}
+	p.noteStore(x)
+	return counted(p, &phpast.IncDec{Op: op, X: x, Prefix: prefix, Position: phpast.NewPosition(t.Line)})
 }
 
 // isVarLike reports whether x can be called or brace-indexed.
@@ -1387,7 +1469,8 @@ func isVarLike(x phpast.Expr) bool {
 	}
 }
 
-// parseMemberAccess parses ->name, ->$var, ->{expr} and method calls.
+// parseMemberAccess parses ->name, ->$var, ->{expr} and method calls. It
+// records an error and returns nil when no member name follows.
 func (p *parser) parseMemberAccess(obj phpast.Expr, line int) phpast.Expr {
 	var name string
 	var nameExpr phpast.Expr
@@ -1401,18 +1484,22 @@ func (p *parser) parseMemberAccess(obj phpast.Expr, line int) phpast.Expr {
 		p.expect(phptoken.RBrace, "dynamic member name")
 	default:
 		p.errorf("line %d: expected member name after ->", p.cur().Line)
-		return &phpast.BadExpr{Reason: "missing member name", Position: phpast.NewPosition(line)}
+		return nil
 	}
 	if p.at(phptoken.LParen) {
-		return &phpast.MethodCall{
-			Object: obj, Name: p.lower(name), NameExpr: nameExpr,
-			Args: p.parseArgs(), Position: phpast.NewPosition(line),
+		name = p.lower(name)
+		if name != "" {
+			p.note(factMethod, name)
 		}
+		return counted(p, &phpast.MethodCall{
+			Object: obj, Name: name, NameExpr: nameExpr,
+			Args: p.parseArgs(), Position: phpast.NewPosition(line),
+		})
 	}
-	return &phpast.PropertyFetch{
+	return counted(p, &phpast.PropertyFetch{
 		Object: obj, Name: name, NameExpr: nameExpr,
 		Position: phpast.NewPosition(line),
-	}
+	})
 }
 
 // parsePrimary parses atoms: literals, variables, identifiers and the
@@ -1429,9 +1516,9 @@ func (p *parser) parsePrimary() phpast.Expr {
 		if p.accept(phptoken.LBrace) {
 			inner := p.parseExpr()
 			p.expect(phptoken.RBrace, "variable variable")
-			return &phpast.VarVar{Expr: inner, Position: phpast.NewPosition(t.Line)}
+			return counted(p, &phpast.VarVar{Expr: inner, Position: phpast.NewPosition(t.Line)})
 		}
-		return &phpast.VarVar{Expr: p.parsePrimary(), Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.VarVar{Expr: p.parsePrimary(), Position: phpast.NewPosition(t.Line)})
 
 	case phptoken.IntLit:
 		p.next()
@@ -1464,7 +1551,7 @@ func (p *parser) parsePrimary() phpast.Expr {
 		if p.at(phptoken.LParen) {
 			return p.parseArrayLit(t.Line, phptoken.LParen, phptoken.RParen)
 		}
-		return &phpast.ConstFetch{Name: "array", Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.ConstFetch{Name: "array", Position: phpast.NewPosition(t.Line)})
 	case phptoken.LBracket:
 		return p.parseArrayLit(t.Line, phptoken.LBracket, phptoken.RBracket)
 
@@ -1473,7 +1560,7 @@ func (p *parser) parsePrimary() phpast.Expr {
 
 	case phptoken.KwIsset:
 		p.next()
-		node := &phpast.IssetExpr{Position: phpast.NewPosition(t.Line)}
+		node := counted(p, &phpast.IssetExpr{Position: phpast.NewPosition(t.Line)})
 		p.expect(phptoken.LParen, "isset")
 		for !p.at(phptoken.RParen) && !p.at(phptoken.EOF) {
 			node.Vars = append(node.Vars, p.parseExpr())
@@ -1489,7 +1576,7 @@ func (p *parser) parsePrimary() phpast.Expr {
 		p.expect(phptoken.LParen, "empty")
 		x := p.parseExpr()
 		p.expect(phptoken.RParen, "empty")
-		return &phpast.EmptyExpr{X: x, Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.EmptyExpr{X: x, Position: phpast.NewPosition(t.Line)})
 
 	case phptoken.KwFunction:
 		return p.parseClosure()
@@ -1504,7 +1591,7 @@ func (p *parser) parsePrimary() phpast.Expr {
 		if p.at(phptoken.KwFunction) {
 			return p.parseClosure()
 		}
-		return &phpast.BadExpr{Reason: "unexpected static", Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.BadExpr{Reason: "unexpected static", Position: phpast.NewPosition(t.Line)})
 
 	case phptoken.Ident:
 		p.next()
@@ -1514,7 +1601,7 @@ func (p *parser) parsePrimary() phpast.Expr {
 		if p.at(phptoken.LParen) {
 			return p.funcCall(t.Line, p.lower(t.Text), nil)
 		}
-		return &phpast.ConstFetch{Name: t.Text, Position: phpast.NewPosition(t.Line)}
+		return counted(p, &phpast.ConstFetch{Name: t.Text, Position: phpast.NewPosition(t.Line)})
 
 	case phptoken.Amp:
 		// Stray by-ref marker in expression context: parse the operand.
@@ -1523,10 +1610,10 @@ func (p *parser) parsePrimary() phpast.Expr {
 
 	default:
 		p.errorf("line %d: unexpected token %v in expression", t.Line, t.Kind)
-		return &phpast.BadExpr{
+		return counted(p, &phpast.BadExpr{
 			Reason:   "unexpected " + t.Kind.String(),
 			Position: phpast.NewPosition(t.Line),
-		}
+		})
 	}
 }
 
@@ -1537,23 +1624,27 @@ func (p *parser) parseStaticMember(class string, line int) phpast.Expr {
 	switch {
 	case p.at(phptoken.Variable):
 		name := strings.TrimPrefix(p.next().Text, "$")
-		return &phpast.StaticPropertyFetch{
+		p.noteClassRef(class)
+		return counted(p, &phpast.StaticPropertyFetch{
 			Class: class, Name: name, Position: phpast.NewPosition(line),
-		}
+		})
 	case p.at(phptoken.Ident) || p.cur().IsKeyword():
 		name := p.next().Text
 		if p.at(phptoken.LParen) {
-			return &phpast.StaticCall{
-				Class: class, Name: p.lower(name), Args: p.parseArgs(),
+			name = p.lower(name)
+			p.note(factMethod, name)
+			p.noteClassRef(class)
+			return counted(p, &phpast.StaticCall{
+				Class: class, Name: name, Args: p.parseArgs(),
 				Position: phpast.NewPosition(line),
-			}
+			})
 		}
-		return &phpast.ClassConstFetch{
+		return counted(p, &phpast.ClassConstFetch{
 			Class: class, Name: name, Position: phpast.NewPosition(line),
-		}
+		})
 	default:
 		p.errorf("line %d: expected member after ::", p.cur().Line)
-		return &phpast.BadExpr{Reason: "bad static member", Position: phpast.NewPosition(line)}
+		return counted(p, &phpast.BadExpr{Reason: "bad static member", Position: phpast.NewPosition(line)})
 	}
 }
 
@@ -1561,8 +1652,12 @@ func (p *parser) parseStaticMember(class string, line int) phpast.Expr {
 func (p *parser) parseClosure() phpast.Expr {
 	line := p.next().Line // function
 	p.accept(phptoken.Amp)
-	node := &phpast.Closure{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.Closure{Position: phpast.NewPosition(line)})
+	// The closure's parameters and body get a fresh scope; its use
+	// clause reads the enclosing one.
+	p.scopes++
 	node.Params = p.parseParams()
+	p.scopes--
 	if p.accept(phptoken.KwUse) {
 		p.expect(phptoken.LParen, "closure use")
 		for !p.at(phptoken.RParen) && !p.at(phptoken.EOF) {
@@ -1572,6 +1667,7 @@ func (p *parser) parseClosure() phpast.Expr {
 			}
 			if p.at(phptoken.Variable) {
 				u.Name = strings.TrimPrefix(p.next().Text, "$")
+				p.noteVar(u.Name)
 				node.Uses = append(node.Uses, u)
 			} else {
 				p.next()
@@ -1583,7 +1679,9 @@ func (p *parser) parseClosure() phpast.Expr {
 		p.expect(phptoken.RParen, "closure use")
 	}
 	if p.accept(phptoken.LBrace) {
+		p.scopes++
 		node.Body = p.parseStmtList(stopAt(phptoken.RBrace))
+		p.scopes--
 		p.expect(phptoken.RBrace, "closure body")
 	}
 	return node
@@ -1592,7 +1690,7 @@ func (p *parser) parseClosure() phpast.Expr {
 // parseListExpr parses list($a, , $b).
 func (p *parser) parseListExpr() phpast.Expr {
 	line := p.next().Line // list
-	node := &phpast.ListExpr{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.ListExpr{Position: phpast.NewPosition(line)})
 	p.expect(phptoken.LParen, "list")
 	for !p.at(phptoken.RParen) && !p.at(phptoken.EOF) {
 		if p.at(phptoken.Comma) {
@@ -1611,12 +1709,12 @@ func (p *parser) parseListExpr() phpast.Expr {
 
 // parseArrayLit parses array(...) or [...] literals.
 func (p *parser) parseArrayLit(line int, open, close phptoken.Kind) phpast.Expr {
-	node := &phpast.ArrayLit{Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.ArrayLit{Position: phpast.NewPosition(line)})
 	mark := p.items.mark()
 	p.expect(open, "array literal")
 	for !p.at(close) && !p.at(phptoken.EOF) {
 		var item phpast.ArrayItem
-		before := p.pos
+		before, mark := p.pos, p.markFacts()
 		first := p.parseExpr()
 		if p.accept(phptoken.DoubleArrow) {
 			item.Key = first
@@ -1628,6 +1726,7 @@ func (p *parser) parseArrayLit(line int, open, close phptoken.Kind) phpast.Expr 
 			item.Value = first
 		}
 		if p.pos == before {
+			p.dropFacts(mark)
 			p.next()
 			continue
 		}
@@ -1644,7 +1743,7 @@ func (p *parser) parseArrayLit(line int, open, close phptoken.Kind) phpast.Expr 
 // parseInterp parses an interpolated string body up to the closing
 // delimiter token kind.
 func (p *parser) parseInterp(line int, closing phptoken.Kind, shell bool) phpast.Expr {
-	node := &phpast.InterpString{IsShell: shell, Position: phpast.NewPosition(line)}
+	node := counted(p, &phpast.InterpString{IsShell: shell, Position: phpast.NewPosition(line)})
 	for {
 		t := p.cur()
 		if t.Kind == phptoken.EOF {
@@ -1672,9 +1771,9 @@ func (p *parser) parseInterp(line int, closing phptoken.Kind, shell bool) phpast
 				name := p.next().Text
 				node.Parts = append(node.Parts, p.newVar(t.Line, name))
 			} else {
-				node.Parts = append(node.Parts, &phpast.VarVar{
+				node.Parts = append(node.Parts, counted(p, &phpast.VarVar{
 					Expr: p.parseExpr(), Position: phpast.NewPosition(t.Line),
-				})
+				}))
 			}
 			p.expect(phptoken.RBrace, "string interpolation")
 		default:
@@ -1696,9 +1795,9 @@ func (p *parser) parseInterpAccess(base phpast.Expr) phpast.Expr {
 			}
 			p.next()
 			name := p.next().Text
-			base = &phpast.PropertyFetch{
+			base = counted(p, &phpast.PropertyFetch{
 				Object: base, Name: name, Position: phpast.NewPosition(t.Line),
-			}
+			})
 		case phptoken.LBracket:
 			p.next()
 			var idx phpast.Expr
@@ -1715,9 +1814,9 @@ func (p *parser) parseInterpAccess(base phpast.Expr) phpast.Expr {
 				idx = p.newVar(it.Line, strings.TrimPrefix(it.Text, "$"))
 			}
 			p.expect(phptoken.RBracket, "string array index")
-			base = &phpast.IndexFetch{
+			base = p.indexFetch(counted(p, &phpast.IndexFetch{
 				Base: base, Index: idx, Position: phpast.NewPosition(t.Line),
-			}
+			}))
 		default:
 			return base
 		}
@@ -1731,6 +1830,7 @@ func (p *parser) lit(line int, kind phpast.LiteralKind, value string) *phpast.Li
 
 // newVar builds a variable node, carved from the parse's slab.
 func (p *parser) newVar(line int, name string) *phpast.Var {
+	p.noteVar(name)
 	return p.vars.put(phpast.Var{Name: name, Position: phpast.NewPosition(line)})
 }
 
@@ -1738,7 +1838,9 @@ func (p *parser) newVar(line int, name string) *phpast.Var {
 // through nameExpr for a dynamic call, into a node carved from the
 // parse's slab.
 func (p *parser) funcCall(line int, name string, nameExpr phpast.Expr) *phpast.FuncCall {
-	return p.calls.put(phpast.FuncCall{Name: name, NameExpr: nameExpr, Args: p.parseArgs(), Position: phpast.NewPosition(line)})
+	args := p.parseArgs()
+	p.noteCall(name, args)
+	return p.calls.put(phpast.FuncCall{Name: name, NameExpr: nameExpr, Args: args, Position: phpast.NewPosition(line)})
 }
 
 // sizeSlabs sizes the slabs from the token stream, so a parse
@@ -1835,14 +1937,14 @@ func (p *parser) sizeSlabs() {
 		}
 		prev, prev2 = t.Kind, prev
 	}
-	p.lits.init(lits)
-	p.vars.init(vars)
-	p.calls.init(calls)
-	p.binaries.init(binaries)
-	p.assigns.init(assigns)
-	p.exprStmts.init(max(stmts, 0))
-	p.echoes.init(echoes)
-	p.argSlab.init(args)
+	p.lits.init(lits, &p.nodes)
+	p.vars.init(vars, &p.nodes)
+	p.calls.init(calls, &p.nodes)
+	p.binaries.init(binaries, &p.nodes)
+	p.assigns.init(assigns, &p.nodes)
+	p.exprStmts.init(max(stmts, 0), &p.nodes)
+	p.echoes.init(echoes, &p.nodes)
+	p.argSlab.init(args, nil)
 }
 
 // Slab block sizes follow the Go allocator: every power of two up to
@@ -1865,13 +1967,17 @@ type slab[T any] struct {
 	free []T
 	// want is the number of promised nodes not yet in a block.
 	want int
+	// count is the counter every node put adds one to.
+	count *int
 }
 
-// init promises n nodes.
-func (s *slab[T]) init(n int) { s.want = n }
+// init promises n nodes, counting those put into *count (nil for a
+// slab that only carves slices).
+func (s *slab[T]) init(n int, count *int) { s.want, s.count = n, count }
 
 // put copies v into the slab and returns its address.
 func (s *slab[T]) put(v T) *T {
+	*s.count++
 	x := &s.carve(1)[0]
 	*x = v
 	return x

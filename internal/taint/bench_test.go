@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
+	"repro/internal/corpus"
+	"repro/internal/phpast"
+	"repro/internal/phpparse"
 	"repro/internal/rulepack"
 )
 
@@ -100,6 +103,33 @@ $g->render();
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.AnalyzeContext(context.Background(), target, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLinkAndTaint times model linking plus the taint stage alone:
+// both corpus snapshots are parsed once, and every iteration scans each
+// plugin over those ASTs, so lexing and parsing are left out. It
+// isolates the interpreter's cost from the front end's.
+func BenchmarkLinkAndTaint(b *testing.B) {
+	engine := New(rulepack.MustCompile("wordpress"), DefaultOptions())
+	c12, c14 := corpus.MustGenerate()
+	targets := append(append([]*analyzer.Target{}, c12.Targets...), c14.Targets...)
+	seeds := make([]*Seed, len(targets))
+	for i, target := range targets {
+		parsed := make(map[string]*phpast.File, len(target.Files))
+		for _, sf := range target.Files {
+			parsed[sf.Path] = phpparse.Parse(sf.Path, sf.Content, phpparse.Options{})
+		}
+		seeds[i] = &Seed{Parsed: parsed, Plan: func(map[string]*phpast.File, bool) map[string]*FileResult { return nil }}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i, target := range targets {
+			if _, _, err := engine.analyze(context.Background(), target, nil, seeds[i], false); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/analyzer"
 	"repro/internal/config"
@@ -244,6 +243,8 @@ type analysis struct {
 
 	// curFile is the path of the file whose code is being walked.
 	curFile string
+	// includes resolves include literals against the scan's files.
+	includes IncludeResolver
 
 	// skip maps paths whose analysis is replayed from a previous scan's
 	// artifacts instead of being re-run (incremental warm scans): their
@@ -304,11 +305,12 @@ func newAnalysis(e *Engine, target *analyzer.Target) *analysis {
 // buildModel is the model-construction stage (§III.B): parse every file,
 // inventory declarations and call sites. The model span (nil when
 // unobserved) parents the per-file parse spans. Parsing fans across the
-// scan's worker pool — files are independent until the declaration
-// inventory below links them into one model, which runs serially over
-// the sorted file order exactly as before. This is the only place a
-// scan parses: an incremental seed contributes cached ASTs and plans
-// its replayed files on the ASTs parsed here.
+// scan's worker pool, and the parser records each file's declarations
+// and call sites as it builds the tree (phpast.Facts), so linking them
+// into one model reads those facts serially over the sorted file order
+// and walks no AST. This is the only place a scan parses: an
+// incremental seed contributes cached ASTs, their facts with them, and
+// plans its replayed files on the ASTs parsed here.
 func (a *analysis) buildModel(modelSpan *obs.Span, seed *Seed) {
 	var parsed map[string]*phpast.File
 	if seed != nil {
@@ -322,23 +324,19 @@ func (a *analysis) buildModel(modelSpan *obs.Span, seed *Seed) {
 		a.fileOrder = append(a.fileOrder, sf.Path)
 	}
 	sort.Strings(a.fileOrder)
+	a.includes = NewIncludeResolver(a.fileOrder)
 
-	// Declarations.
+	// Declarations: the first of a name wins, in file order.
 	for _, path := range a.fileOrder {
-		f := a.files[path]
-		phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
-			switch d := n.(type) {
-			case *phpast.FuncDecl:
-				if _, dup := a.funcs[d.Name]; !dup && d.Name != "" {
-					a.funcs[d.Name] = &funcInfo{decl: d, file: path}
-				}
-				return false // nested declarations are rare; skip inside
-			case *phpast.ClassDecl:
-				a.registerClass(d, path)
-				return false
+		facts := a.files[path].Facts()
+		for _, d := range facts.Funcs {
+			if _, dup := a.funcs[d.Name]; !dup {
+				a.funcs[d.Name] = &funcInfo{decl: d, file: path}
 			}
-			return true
-		})
+		}
+		for _, d := range facts.Classes {
+			a.registerClass(d, path)
+		}
 	}
 	// Resolve inheritance.
 	for _, ci := range a.classes {
@@ -349,34 +347,18 @@ func (a *analysis) buildModel(modelSpan *obs.Span, seed *Seed) {
 
 	// Call sites (for the uncalled-function inventory).
 	for _, path := range a.fileOrder {
-		phpast.InspectStmts(a.files[path].Stmts, func(n phpast.Node) bool {
-			switch c := n.(type) {
-			case *phpast.FuncCall:
-				if c.Name != "" {
-					a.calledFuncs[c.Name] = true
-				}
-			case *phpast.MethodCall:
-				if c.Name != "" {
-					a.calledMethods[c.Name] = true
-				}
-			case *phpast.StaticCall:
-				a.calledMethods[c.Name] = true
-			case *phpast.New:
-				if c.Class != "" {
-					a.calledMethods["__construct"] = true
-					a.calledFuncs[c.Class] = true
-				}
-			}
-			return true
-		})
+		facts := a.files[path].Facts()
+		for _, name := range facts.CalledFuncs {
+			a.calledFuncs[name] = true
+		}
+		for _, name := range facts.CalledMethods {
+			a.calledMethods[name] = true
+		}
 	}
 }
 
 // registerClass adds a class declaration to the model.
 func (a *analysis) registerClass(d *phpast.ClassDecl, path string) {
-	if d.Name == "" {
-		return
-	}
 	if _, dup := a.classes[d.Name]; dup {
 		return
 	}
@@ -453,7 +435,8 @@ func (a *analysis) run() {
 // failOversizedFiles applies the include-budget robustness model: a file
 // whose transitive include closure exceeds the budget is reported as not
 // analyzed, reproducing the paper's phpSAFE failures (1 file in the 2012
-// corpus, 3 in 2014). Each file's AST is walked at most once per scan.
+// corpus, 3 in 2014). Each file's includes are resolved at most once
+// per scan.
 func (a *analysis) failOversizedFiles() map[string]bool {
 	failed := make(map[string]bool)
 	edges := make(map[string][]string, len(a.files))
@@ -487,14 +470,11 @@ func (a *analysis) includeClosureSize(path string, edges map[string][]string, se
 		if !ok {
 			return 0
 		}
-		phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
-			if inc, ok := n.(*phpast.IncludeExpr); ok {
-				if target, resolved := a.resolveIncludePath(path, inc.Path); resolved {
-					targets = append(targets, target)
-				}
+		for _, lit := range f.Facts().Includes {
+			if target, resolved := a.includes.Resolve(path, lit); resolved {
+				targets = append(targets, target)
 			}
-			return true
-		})
+		}
 		edges[path] = targets
 	}
 	count := 0
@@ -583,63 +563,4 @@ func (a *analysis) analyzeMainFlow(path string) {
 	a.includeStack = map[string]bool{path: true}
 	a.execStmts(f.Stmts, sc)
 	a.curFile = prevFile
-}
-
-// resolveIncludePath statically resolves an include expression to a target
-// file path. It understands string literals, concatenations whose tail is
-// a literal (dirname(__FILE__) . '/x.php'), and resolves against the
-// including file's directory, the plugin root, and by basename suffix.
-func (a *analysis) resolveIncludePath(fromFile string, pathExpr phpast.Expr) (string, bool) {
-	lit, ok := trailingPathLiteral(pathExpr)
-	if !ok || lit == "" {
-		return "", false
-	}
-	lit = strings.TrimPrefix(lit, "/")
-
-	// Exact target-relative match.
-	if _, ok := a.files[lit]; ok {
-		return lit, true
-	}
-	// Relative to the including file's directory.
-	if dir := dirOf(fromFile); dir != "" {
-		cand := dir + "/" + lit
-		if _, ok := a.files[cand]; ok {
-			return cand, true
-		}
-	}
-	// Basename suffix match (plugin_dir_path(__FILE__) style).
-	for _, path := range a.fileOrder {
-		if strings.HasSuffix(path, "/"+lit) || path == lit {
-			return path, true
-		}
-	}
-	return "", false
-}
-
-// trailingPathLiteral extracts the rightmost string-literal component of
-// an include path expression.
-func trailingPathLiteral(e phpast.Expr) (string, bool) {
-	switch x := e.(type) {
-	case *phpast.Literal:
-		if x.Kind == phpast.LitString {
-			return x.Value, true
-		}
-	case *phpast.Binary:
-		if x.Op == "." {
-			return trailingPathLiteral(x.R)
-		}
-	case *phpast.InterpString:
-		if n := len(x.Parts); n > 0 {
-			return trailingPathLiteral(x.Parts[n-1])
-		}
-	}
-	return "", false
-}
-
-// dirOf returns the directory part of a slash-separated path, or "".
-func dirOf(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[:i]
-	}
-	return ""
 }

@@ -542,7 +542,7 @@ func (a *analysis) writeProperty(x *phpast.PropertyFetch, v *value, sc *scope) {
 func (a *analysis) execInclude(x *phpast.IncludeExpr, sc *scope) {
 	pathVal := a.eval(x.Path, sc)
 	a.checkSink("include", analyzer.FileInclusion, pathVal, x.Pos(), x.Path, sc)
-	path, ok := a.resolveIncludePath(a.curFile, x.Path)
+	path, ok := a.includes.Resolve(a.curFile, x.Literal())
 	if !ok || a.includeStack[path] {
 		return
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/analyzer"
-	"repro/internal/phpast"
 )
 
 // ModelInfo is the inspectable output of the model-construction stage —
@@ -79,7 +78,11 @@ func (e *Engine) Model(target *analyzer.Target) (*ModelInfo, error) {
 	}
 	a := newAnalysis(e, target)
 	a.buildModel(nil, nil)
+	return a.modelInfo(), nil
+}
 
+// modelInfo renders the inventory of the model buildModel linked.
+func (a *analysis) modelInfo() *ModelInfo {
 	info := &ModelInfo{}
 
 	names := make([]string, 0, len(a.funcs))
@@ -134,18 +137,13 @@ func (e *Engine) Model(target *analyzer.Target) (*ModelInfo, error) {
 		for _, e := range f.Errors {
 			info.ParseErrors = append(info.ParseErrors, path+": "+e)
 		}
-		phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
-			inc, ok := n.(*phpast.IncludeExpr)
-			if !ok {
-				return true
-			}
-			if to, resolved := a.resolveIncludePath(path, inc.Path); resolved {
+		for _, lit := range f.Facts().Includes {
+			if to, resolved := a.includes.Resolve(path, lit); resolved {
 				info.Includes = append(info.Includes, IncludeEdge{From: path, To: to})
 			}
-			return true
-		})
+		}
 	}
-	return info, nil
+	return info
 }
 
 // Uncalled returns the functions never called from plugin code, the set
