@@ -50,52 +50,57 @@ type resultPayload struct {
 
 // acceptedRecord builds the submission record for sc and the blob
 // records its content needs, skipping addresses already in seen (see
-// durable.FileBlobs). Marshalling the payload cannot fail (every field
-// round-trips JSON); an impossible failure journals an empty payload
-// rather than nothing.
+// durable.FileBlobs); without a journal, only the record's header.
+// Marshalling the payload cannot fail (every field round-trips JSON);
+// an impossible failure journals an empty payload rather than nothing.
 func (s *Server) acceptedRecord(sc *scan, seen map[string]bool) (blobs []durable.Record, rec durable.Record) {
+	rec = durable.Record{Type: durable.RecAccepted, ScanID: sc.ID}
+	if s.cfg.Journal == nil {
+		return nil, rec
+	}
 	blobs, refs, addrs := durable.FileBlobs(sc.Target.Files, seen)
-	raw, _ := json.Marshal(submissionPayload{
+	rec.Refs = addrs
+	rec.Payload, _ = json.Marshal(submissionPayload{
 		Name: sc.Target.Name, Tool: sc.Tool, Profile: sc.Profile,
 		Key: sc.Key, Created: sc.Created, Opts: sc.Opts, Files: refs,
 	})
-	return blobs, durable.Record{Type: durable.RecAccepted, ScanID: sc.ID, Refs: addrs, Payload: raw}
+	return blobs, rec
 }
 
-// journalAcceptedLocked journals sc's acceptance: its new blobs, then its
-// accepted record, in one append. Caller holds s.journalMu.
-func (s *Server) journalAcceptedLocked(sc *scan) {
-	blobs, rec := s.acceptedRecord(sc, nil)
-	s.journalLocked(append(blobs, rec)...)
-}
-
-// resultPayloadLocked marshals sc's settled outcome; caller holds s.mu.
-func (s *Server) resultPayloadLocked(sc *scan) json.RawMessage {
-	raw, _ := json.Marshal(resultPayload{
-		State: sc.State, Cached: sc.Cached, Worker: sc.Worker,
-		Result: sc.Result, Inc: sc.Inc, Error: sc.Err,
-	})
-	return raw
-}
-
-// journal appends one lifecycle record, taking journalMu. A degraded
-// journal swallows the append (the durable package counts it); the
-// scan path never blocks on disk health.
-func (s *Server) journal(r durable.Record) {
-	if s.cfg.Journal == nil {
-		return
+// finalRecordLocked builds settled sc's final record: completed (done
+// or cancelled) or quarantined, at the settle time, with the settled
+// state and result as payload (without a journal, only the header).
+// settle journals it, and compaction writes it again, so replay
+// rehydrates the same scan either way. A done scan keeps its last
+// retry's error in the payload only. Caller holds s.mu.
+func (s *Server) finalRecordLocked(sc *scan) durable.Record {
+	r := durable.Record{
+		Type: durable.RecCompleted, ScanID: sc.ID, Attempt: sc.Attempts,
+		Time: sc.Finished, Worker: sc.Worker,
 	}
-	s.journalMu.Lock()
-	s.journalLocked(r)
-	s.journalMu.Unlock()
+	if sc.State == stateQuarantined {
+		r.Type = durable.RecQuarantined
+	}
+	if sc.State != stateDone {
+		r.Error = sc.Err
+	}
+	if s.cfg.Journal != nil {
+		r.Payload, _ = json.Marshal(resultPayload{
+			State: sc.State, Cached: sc.Cached, Worker: sc.Worker,
+			Result: sc.Result, Inc: sc.Inc, Error: sc.Err,
+		})
+	}
+	return r
 }
 
 // journalLocked appends records in one batch; caller holds
-// s.journalMu. Records are stamped from the server's clock so
-// journaled times agree with the flight recorder (and stay
-// deterministic under a manual clock).
+// s.journalMu. A degraded journal swallows the append (the durable
+// package counts it); the scan path never blocks on disk health.
+// Records are stamped from the server's clock so journaled times
+// agree with the flight recorder (and stay deterministic under a
+// manual clock).
 func (s *Server) journalLocked(recs ...durable.Record) {
-	if s.cfg.Journal == nil {
+	if s.cfg.Journal == nil || len(recs) == 0 {
 		return
 	}
 	now := s.now()
@@ -121,11 +126,13 @@ func (s *Server) maybeCompact() {
 
 // CompactJournal folds the live registry into a snapshot and truncates
 // the WAL. The live set is rebuilt from the registry itself — an
-// accepted record per tracked scan, a final record for settled ones,
-// and an attempt_failed marker preserving an unsettled scan's spent
-// budget, with every referenced blob once, ahead of the records — so
-// compaction also garbage-collects records and blobs of evicted scans.
-// The journal counts the compaction (or its failure).
+// accepted record per tracked scan, then the records of it Fold reads,
+// as they were journaled (a settled scan's final record, an unsettled
+// one's last failed and later started attempt), with every referenced
+// blob once, ahead of the records — so a scan folds the same with or
+// without the compaction, and compaction also garbage-collects records
+// and blobs of evicted scans. The journal counts the compaction (or
+// its failure).
 func (s *Server) CompactJournal() {
 	if s.cfg.Journal == nil {
 		return
@@ -141,28 +148,15 @@ func (s *Server) CompactJournal() {
 		scanBlobs, accepted := s.acceptedRecord(sc, seen)
 		blobs = append(blobs, scanBlobs...)
 		live = append(live, accepted)
-		switch sc.State {
-		case stateDone, stateCancelled:
-			// Time carries the original settle time through compaction so
-			// replay rehydrates Finished (and the trace timeline) exactly.
-			live = append(live, durable.Record{
-				Type: durable.RecCompleted, ScanID: sc.ID,
-				Attempt: sc.Attempts, Error: sc.Err, Time: sc.Finished,
-				Payload: s.resultPayloadLocked(sc),
-			})
-		case stateQuarantined:
-			live = append(live, durable.Record{
-				Type: durable.RecQuarantined, ScanID: sc.ID,
-				Attempt: sc.Attempts, Error: sc.Err, Time: sc.Finished,
-				Payload: s.resultPayloadLocked(sc),
-			})
-		default:
-			if sc.Attempts > 0 {
-				live = append(live, durable.Record{
-					Type: durable.RecAttemptFailed, ScanID: sc.ID,
-					Attempt: sc.Attempts, Error: sc.Err,
-				})
-			}
+		if settledState(sc.State) {
+			live = append(live, s.finalRecordLocked(sc))
+			continue
+		}
+		if sc.failed.Attempt > 0 {
+			live = append(live, sc.failed)
+		}
+		if sc.started.Attempt > sc.failed.Attempt {
+			live = append(live, sc.started)
 		}
 	}
 	s.mu.Unlock()
@@ -216,16 +210,20 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 			ID: st.ScanID, Tool: sub.Tool, Profile: sub.Profile,
 			Key: sub.Key, Created: sub.Created, Target: target, Opts: sub.Opts,
 		}
+		// The timeline keeps the accepted and final records (a compaction
+		// drops the attempts between them) and their historical times: an
+		// accepted record's own time is its append's or a compaction's,
+		// the payload's is the acceptance.
+		accepted := eventFor(st.Accepted, sc.Target.Name)
+		accepted.Time = sc.Created
 
 		if st.Settled() {
 			var res resultPayload
-			if st.Final != nil {
-				if err := json.Unmarshal(st.Final.Payload, &res); err != nil {
-					res = resultPayload{}
-				}
-				sc.Finished = st.Final.Time
-				sc.Attempts = st.Final.Attempt
+			if err := json.Unmarshal(st.Final.Payload, &res); err != nil {
+				res = resultPayload{}
 			}
+			sc.Finished = st.Final.Time
+			sc.Attempts = st.Final.Attempt
 			sc.State = res.State
 			if sc.State == "" {
 				// Payload lost (e.g. journaled while degraded):
@@ -247,17 +245,10 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 			if sc.State == stateDone && sc.Result != nil {
 				s.cfg.Cache.Put(sc.Key, sc.Result)
 			}
-			// Reconstruct the pre-crash timeline from the journal so the
-			// trace spans both process lifetimes: acceptance and settle
-			// keep their historical times, the replay marker gets the
-			// boot's.
-			s.recordEvent(obs.Event{Scan: sc.ID, Type: evAccepted, Time: sc.Created, Detail: sc.Target.Name})
-			if !sc.Finished.IsZero() {
-				s.recordEvent(obs.Event{
-					Scan: sc.ID, Type: evSettled, Time: sc.Finished,
-					Detail: string(sc.State), Err: sc.Err,
-				})
-			}
+			// The trace spans both process lifetimes: the replay marker
+			// gets the boot's time.
+			s.recordEvent(accepted)
+			s.recordEvent(eventFor(*st.Final, string(sc.State)))
 			s.recordEvent(obs.Event{
 				Scan: sc.ID, Type: evReplayed,
 				Detail: "rehydrated as " + string(sc.State) + " from journal",
@@ -278,9 +269,13 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 		// adopt a still-running remote attempt instead of duplicating it.
 		sc.State = stateQueued
 		sc.Attempts = st.Attempts
+		if st.Attempts > 0 {
+			// The spent budget, for compaction to write again.
+			sc.failed = durable.Record{Type: durable.RecAttemptFailed, ScanID: sc.ID, Attempt: st.Attempts}
+		}
 		sc.queuedAt = s.now()
 		sc.resubmitted = true
-		s.recordEvent(obs.Event{Scan: sc.ID, Type: evAccepted, Time: sc.Created, Detail: sc.Target.Name})
+		s.recordEvent(accepted)
 		engine, _, err := s.engine(sc.Tool, sc.Profile)
 		if err != nil {
 			// The tool that accepted this scan no longer builds
@@ -295,7 +290,7 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 			})
 			s.log.Error("journal replay: engine no longer builds, quarantining",
 				"scan_id", sc.ID, "tool", sc.Tool, "error", err.Error())
-			s.settleQuarantined(sc, st.Attempts, jobs.Terminal(err))
+			s.settle(sc, stateQuarantined, jobs.Terminal(err), nil)
 			quarantined++
 			continue
 		}
@@ -304,16 +299,13 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 		s.addScanLocked(sc)
 		s.active[sc.Key] = sc.ID
 		s.mu.Unlock()
-		// Record the resubmission before the pool sees the job: a worker
-		// may start the attempt immediately, and the timeline must read
-		// resubmitted → queued → attempt_started.
-		s.recordEvent(obs.Event{
-			Scan: sc.ID, Type: evResubmitted, Attempt: st.Attempts,
-			Detail: fmt.Sprintf("resubmitted with %d prior attempt(s)", st.Attempts),
-		})
-		s.recordEvent(obs.Event{Scan: sc.ID, Type: evQueued, Detail: "journal replay"})
 		for {
-			err := s.cfg.Pool.SubmitJob(s.scanJob(sc, st.Attempts))
+			s.journalMu.Lock()
+			err := s.enqueueLocked(sc, st.Attempts, nil, obs.Event{
+				Scan: sc.ID, Type: evResubmitted, Attempt: st.Attempts,
+				Detail: fmt.Sprintf("resubmitted with %d prior attempt(s)", st.Attempts),
+			}, obs.Event{Scan: sc.ID, Type: evQueued, Detail: "journal replay"})
+			s.journalMu.Unlock()
 			if err == nil {
 				break
 			}
@@ -422,26 +414,30 @@ func (s *Server) handleQuarantine(w http.ResponseWriter, _ *http.Request) {
 // budget. Only quarantined scans are retryable: everything else is
 // either still owed an execution or finished successfully.
 func (s *Server) handleRetry(w http.ResponseWriter, r *http.Request) {
+	status, body := s.retry(r.PathValue("id"))
+	s.writeJSON(w, status, body)
+}
+
+// retry answers POST /v1/scans/{id}/retry (see handleRetry).
+func (s *Server) retry(id string) (int, any) {
+	s.journalMu.Lock()
+	defer s.journalMu.Unlock()
 	s.mu.Lock()
-	sc, ok := s.scans[r.PathValue("id")]
+	sc, ok := s.scans[id]
 	if !ok {
 		s.mu.Unlock()
-		s.error(w, http.StatusNotFound, "unknown scan id")
-		return
+		return http.StatusNotFound, errorBody("unknown scan id")
 	}
 	if sc.State != stateQuarantined {
 		state := sc.State
 		s.mu.Unlock()
-		s.error(w, http.StatusConflict, fmt.Sprintf("scan is %s; only quarantined scans can be retried", state))
-		return
+		return http.StatusConflict, errorBody(fmt.Sprintf("scan is %s; only quarantined scans can be retried", state))
 	}
 	if id, inflight := s.active[sc.Key]; inflight {
 		s.mu.Unlock()
-		s.error(w, http.StatusConflict, fmt.Sprintf("identical content is already in flight as scan %s", id))
-		return
+		return http.StatusConflict, errorBody(fmt.Sprintf("identical content is already in flight as scan %s", id))
 	}
-	status, body := s.reacceptLocked(sc, "manual retry")
-	s.writeJSON(w, status, body)
+	return s.reacceptLocked(sc, "manual retry")
 }
 
 // reacceptLocked re-accepts settled scan sc, whose content is not in
@@ -449,8 +445,9 @@ func (s *Server) handleRetry(w http.ResponseWriter, r *http.Request) {
 // accepted record, which durable.Fold folds into a reopened scan. how
 // labels the queued event. It returns the HTTP status and body to
 // answer with: 202 and the scan's view, or an error envelope when the
-// pool refuses the job (sc then keeps its settled record). Caller holds
-// s.mu, which is released.
+// pool refuses the job (sc then keeps its settled state, and the
+// journal its settled record). Caller holds s.journalMu and s.mu;
+// s.mu is released.
 func (s *Server) reacceptLocked(sc *scan, how string) (int, any) {
 	if sc.Engine == nil {
 		// Scans rehydrated by replay carry no engine.
@@ -470,37 +467,23 @@ func (s *Server) reacceptLocked(sc *scan, how string) (int, any) {
 	sc.Cached = false
 	sc.Finished = time.Time{}
 	sc.cancelReq = false
+	sc.started, sc.failed = durable.Record{}, durable.Record{}
 	sc.queuedAt = s.now()
 	s.active[sc.Key] = sc.ID
+	view := sc.viewLocked()
 	s.mu.Unlock()
-
-	s.journalMu.Lock()
-	err := s.cfg.Pool.SubmitJob(s.scanJob(sc, 0))
-	if err == nil {
-		s.journalAcceptedLocked(sc)
-	}
-	s.journalMu.Unlock()
-	if err != nil {
+	blobs, accepted := s.acceptedRecord(sc, nil)
+	if err := s.enqueueLocked(sc, 0, append(blobs, accepted), obs.Event{
+		Scan: sc.ID, Type: evRetryRequest, Detail: string(settled.State) + " scan resubmitted with fresh budget",
+	}, obs.Event{Scan: sc.ID, Type: evQueued, Detail: how}); err != nil {
 		s.mu.Lock()
 		*sc = settled
 		delete(s.active, sc.Key)
 		s.mu.Unlock()
-		switch err {
-		case jobs.ErrQueueFull:
-			return http.StatusTooManyRequests, errorBody("scan queue is full, retry later")
-		case jobs.ErrClosed:
-			return http.StatusServiceUnavailable, errorBody("daemon is shutting down")
-		default:
-			return http.StatusInternalServerError, errorBody(err.Error())
-		}
+		return refusal(err)
 	}
 	s.rec.Counter("scans_retry_requests_total").Inc()
-	s.recordEvent(obs.Event{Scan: sc.ID, Type: evRetryRequest, Detail: string(settled.State) + " scan resubmitted with fresh budget"})
-	s.recordEvent(obs.Event{Scan: sc.ID, Type: evQueued, Detail: how})
 	s.log.Info("settled scan resubmitted", "scan_id", sc.ID, "state", string(settled.State), "how", how)
-	s.mu.Lock()
-	view := sc.viewLocked()
-	s.mu.Unlock()
 	return http.StatusAccepted, view
 }
 

@@ -289,6 +289,12 @@ type scan struct {
 	// cancel aborts the running scan's context; non-nil only while the
 	// scan is actually running on a worker.
 	cancel context.CancelFunc
+
+	// started and failed are the last started and attempt_failed records
+	// journaled since the scan was (re-)accepted. Compaction writes them
+	// again as they were, so the journal folds an unsettled scan to the
+	// same spent budget and phase with or without a compaction.
+	started, failed durable.Record
 }
 
 // Server is the daemon's HTTP handler. Create with New.
@@ -312,10 +318,13 @@ type Server struct {
 	// can re-read its scan.
 	settleWake chan struct{}
 
-	// journalMu serializes journal appends against compaction's
-	// build-live-set-and-truncate, so no lifecycle record can fall
-	// between a snapshot and the WAL reset. Lock order: journalMu
-	// before mu, never the reverse.
+	// journalMu orders the scan lifecycle. Every transition that has a
+	// journal record (acceptance, attempt start and failure, settle)
+	// holds it from its registry change through its record and event,
+	// and compaction holds it while it builds the live set and resets
+	// the WAL. So no compaction falls between a state change and its
+	// record, and a scan's record-derived events are recorded in its
+	// records' order. Lock order: journalMu before mu, never the reverse.
 	journalMu sync.Mutex
 
 	// enginesMu guards engines, the built engine of each tool|profile
@@ -714,22 +723,20 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 		s.addScanLocked(sc)
 		view := sc.viewLocked()
 		s.mu.Unlock()
+		// Settled as it is created: the settle's event, but no record.
 		s.rec.Counter("scans_served_from_cache_total").Inc()
-		s.recordEvent(obs.Event{Scan: sc.ID, Type: evAccepted, Detail: sc.Target.Name})
+		s.recordEvent(eventFor(durable.Record{Type: durable.RecAccepted, ScanID: sc.ID, Time: now}, sc.Target.Name))
 		s.recordEvent(obs.Event{Scan: sc.ID, Type: evCacheHit, Detail: "served from result cache"})
-		s.settleEvent(sc, stateDone, "", now, now)
+		s.settleEvent(sc, durable.Record{Type: durable.RecCompleted, ScanID: sc.ID, Time: now}, stateDone)
 		return sc.ID, http.StatusOK, view
 	}
 
-	// Duplicate of an in-flight submission: answer with the existing
-	// job instead of spending a second queue slot on identical work.
+	// Duplicate of an in-flight submission: join it.
+	s.journalMu.Lock()
+	defer s.journalMu.Unlock()
 	s.mu.Lock()
 	if id, ok := s.active[key]; ok {
-		view := s.scans[id].viewLocked()
-		s.mu.Unlock()
-		s.rec.Counter("scans_joined_inflight_total").Inc()
-		s.recordEvent(obs.Event{Scan: id, Type: evJoinedInflight, Detail: "duplicate submission joined"})
-		return id, http.StatusAccepted, view
+		return s.joinLocked(s.scans[id], "duplicate submission joined")
 	}
 	now := s.now()
 	sc := &scan{
@@ -738,45 +745,21 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	}
 	s.addScanLocked(sc)
 	s.active[key] = sc.ID
-	// The 202 answer describes the scan as accepted: a view taken after
-	// the pool has the job could already read done.
 	view := sc.viewLocked()
 	s.mu.Unlock()
-
-	// Record acceptance before the pool sees the job: a worker may
-	// start the attempt immediately, and the timeline must read
-	// accepted → queued → attempt_started. A failed submission below
-	// closes the pair with a rejected event.
-	s.recordEvent(obs.Event{Scan: sc.ID, Type: evAccepted, Detail: sc.Target.Name})
-	s.recordEvent(obs.Event{Scan: sc.ID, Type: evQueued})
-
-	// journalMu spans the pool submission and the accepted record so
-	// the journal sees "accepted" before any record the worker writes.
-	s.journalMu.Lock()
-	err = s.cfg.Pool.SubmitJob(s.scanJob(sc, 0))
-	if err == nil {
-		s.journalAcceptedLocked(sc)
-	}
-	s.journalMu.Unlock()
-	if err != nil {
+	blobs, accepted := s.acceptedRecord(sc, nil)
+	if err := s.enqueueLocked(sc, 0, append(blobs, accepted),
+		eventFor(accepted, sc.Target.Name), obs.Event{Scan: sc.ID, Type: evQueued}); err != nil {
 		s.mu.Lock()
 		delete(s.scans, sc.ID)
 		delete(s.active, key)
-		if s.cfg.Journal != nil {
-			// A compaction in the window above may have snapshotted it.
-			s.cfg.Journal.Retire(sc.ID)
-		}
 		s.mu.Unlock()
 		s.recordEvent(obs.Event{Scan: sc.ID, Type: evRejected, Err: err.Error()})
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
+		if errors.Is(err, jobs.ErrQueueFull) {
 			s.rec.Counter("scans_rejected_total").Inc()
-			return "", http.StatusTooManyRequests, errorBody("scan queue is full, retry later")
-		case errors.Is(err, jobs.ErrClosed):
-			return "", http.StatusServiceUnavailable, errorBody("daemon is shutting down")
-		default:
-			return "", http.StatusInternalServerError, errorBody(err.Error())
 		}
+		status, body := refusal(err)
+		return "", status, body
 	}
 	s.rec.Counter("scans_accepted_total").Inc()
 	s.log.Info("scan accepted",
@@ -785,11 +768,47 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	return sc.ID, http.StatusAccepted, view
 }
 
+// enqueueLocked hands sc, just registered or reset to a fresh attempt
+// budget, to the pool with prior attempts already spent: Accept's new
+// scans, re-accepted settled scans and replayed scans all enter the
+// queue here. Once the pool has the job it journals records (sc's
+// accepted record and blobs; none for a replayed scan, whose record is
+// in the journal) and records the lead events (accepted,
+// retry_requested or journal_resubmitted, then queued). A refused job
+// leaves no record and no event. The caller holds s.journalMu (taken
+// before s.mu) from its registry change until it has answered, so no
+// compaction sees the change without its record, and a worker's
+// OnStart, which waits for journalMu, records attempt_started after the
+// lead events.
+func (s *Server) enqueueLocked(sc *scan, prior int, records []durable.Record, lead ...obs.Event) error {
+	if err := s.cfg.Pool.SubmitJob(s.scanJob(sc, prior)); err != nil {
+		return err
+	}
+	s.journalLocked(records...)
+	for _, e := range lead {
+		s.recordEvent(e)
+	}
+	return nil
+}
+
+// refusal is the HTTP answer to a job the pool refused.
+func refusal(err error) (int, any) {
+	switch {
+	case errors.Is(err, jobs.ErrQueueFull):
+		return http.StatusTooManyRequests, errorBody("scan queue is full, retry later")
+	case errors.Is(err, jobs.ErrClosed):
+		return http.StatusServiceUnavailable, errorBody("daemon is shutting down")
+	}
+	return http.StatusInternalServerError, errorBody(err.Error())
+}
+
 // acceptNamed answers a submission naming scan id when this server
 // holds that scan (see Accept); ok is false when it does not, or when
 // the scan is settled unsuccessfully and its content is in flight as
 // another scan, which the submission then joins on Accept's usual path.
 func (s *Server) acceptNamed(id string) (_ string, status int, body any, ok bool) {
+	s.journalMu.Lock()
+	defer s.journalMu.Unlock()
 	s.mu.Lock()
 	sc, held := s.scans[id]
 	switch {
@@ -797,11 +816,8 @@ func (s *Server) acceptNamed(id string) (_ string, status int, body any, ok bool
 		s.mu.Unlock()
 		return "", 0, nil, false
 	case sc.State == stateQueued || sc.State == stateRunning:
-		view := sc.viewLocked()
-		s.mu.Unlock()
-		s.rec.Counter("scans_joined_inflight_total").Inc()
-		s.recordEvent(obs.Event{Scan: id, Type: evJoinedInflight, Detail: "submission naming the scan joined"})
-		return id, http.StatusAccepted, view, true
+		id, status, body = s.joinLocked(sc, "submission naming the scan joined")
+		return id, status, body, true
 	case sc.State == stateDone:
 		view := sc.viewLocked()
 		s.mu.Unlock()
@@ -816,6 +832,17 @@ func (s *Server) acceptNamed(id string) (_ string, status int, body any, ok bool
 		id = ""
 	}
 	return id, status, body, true
+}
+
+// joinLocked answers a submission that joins queued or running scan sc
+// instead of spending a queue slot on identical work. Caller holds s.mu,
+// which is released.
+func (s *Server) joinLocked(sc *scan, how string) (string, int, any) {
+	view := sc.viewLocked()
+	s.mu.Unlock()
+	s.rec.Counter("scans_joined_inflight_total").Inc()
+	s.recordEvent(obs.Event{Scan: sc.ID, Type: evJoinedInflight, Detail: how})
+	return sc.ID, http.StatusAccepted, view
 }
 
 // maxScanIDLen bounds a caller-chosen scan id.
@@ -866,49 +893,42 @@ func (s *Server) scanJob(sc *scan, priorAttempts int) *jobs.Job {
 			return s.runScanAttempt(ctx, sc)
 		},
 		OnStart: func(attempt int) {
-			now := s.now()
+			s.journalMu.Lock()
+			defer s.journalMu.Unlock()
+			started := durable.Record{Type: durable.RecStarted, ScanID: sc.ID, Attempt: attempt, Time: s.now()}
 			s.mu.Lock()
-			sc.Attempts = attempt
-			wait := now.Sub(sc.queuedAt)
+			sc.Attempts, sc.started = attempt, started
+			// A retry's queuedAt is the projected end of its backoff; a
+			// worker picking it up early clamps the wait to zero.
+			wait := max(started.Time.Sub(sc.queuedAt), 0)
 			s.mu.Unlock()
-			if wait < 0 {
-				// A retry's queuedAt is the projected end of its backoff;
-				// a worker picking it up early clamps to zero.
-				wait = 0
-			}
 			s.rec.Observe("scan_queue_wait_seconds", wait.Seconds())
-			s.recordEvent(obs.Event{
-				Scan: sc.ID, Type: evAttemptStarted, Attempt: attempt,
-				DurMS: wait.Milliseconds(),
-			})
-			s.log.Debug("scan attempt started",
-				"scan_id", sc.ID, "attempt", attempt, "queue_wait_ms", wait.Milliseconds())
-			s.journal(durable.Record{Type: durable.RecStarted, ScanID: sc.ID, Attempt: attempt})
+			e := eventFor(started, "")
+			e.DurMS = wait.Milliseconds()
+			s.recordEvent(e)
+			s.log.Debug("scan attempt started", "scan_id", sc.ID, "attempt", attempt, "queue_wait_ms", e.DurMS)
+			s.journalLocked(started)
 		},
 		OnRetry: func(attempt int, err error, backoff time.Duration) {
-			now := s.now()
+			s.journalMu.Lock()
+			defer s.journalMu.Unlock()
+			failed := durable.Record{
+				Type: durable.RecAttemptFailed, ScanID: sc.ID, Attempt: attempt,
+				Error: err.Error(), BackoffMS: backoff.Milliseconds(), Time: s.now(),
+			}
 			s.mu.Lock()
-			sc.State = stateQueued
-			sc.cancel = nil
-			sc.Err = err.Error()
-			sc.queuedAt = now.Add(backoff)
+			sc.State, sc.cancel, sc.Err, sc.failed = stateQueued, nil, failed.Error, failed
+			sc.queuedAt = failed.Time.Add(backoff)
 			s.mu.Unlock()
 			s.rec.Counter("scans_retried_total").Inc()
-			s.recordEvent(obs.Event{
-				Scan: sc.ID, Type: evAttemptFailed, Attempt: attempt,
-				Err: err.Error(), DurMS: backoff.Milliseconds(),
-			})
+			s.recordEvent(eventFor(failed, ""))
 			s.recordEvent(obs.Event{Scan: sc.ID, Type: evQueued, Detail: "retry after backoff"})
 			s.log.Warn("scan attempt failed, retrying",
-				"scan_id", sc.ID, "attempt", attempt, "error", err.Error(),
-				"backoff_ms", backoff.Milliseconds())
-			s.journal(durable.Record{
-				Type: durable.RecAttemptFailed, ScanID: sc.ID, Attempt: attempt,
-				Error: err.Error(), BackoffMS: backoff.Milliseconds(),
-			})
+				"scan_id", sc.ID, "attempt", attempt, "error", failed.Error, "backoff_ms", failed.BackoffMS)
+			s.journalLocked(failed)
 		},
-		OnQuarantine: func(attempts int, err error) {
-			s.settleQuarantined(sc, attempts, err)
+		OnQuarantine: func(_ int, err error) {
+			s.settle(sc, stateQuarantined, err, nil)
 		},
 	}
 }
@@ -927,7 +947,8 @@ func (s *Server) runScanAttempt(ctx context.Context, sc *scan) error {
 	if sc.cancelReq {
 		// Cancelled while still queued (or parked between attempts):
 		// settle without running.
-		s.settleCancelledLocked(sc, context.Canceled, nil)
+		s.mu.Unlock()
+		s.settle(sc, stateCancelled, context.Canceled, nil)
 		return nil
 	}
 	sc.State = stateRunning
@@ -1012,7 +1033,8 @@ func (s *Server) runScanAttempt(ctx context.Context, sc *scan) error {
 			if sc.cancelReq {
 				// The client cancelled: terminal, keep the engine's
 				// labelled partial result.
-				s.settleCancelledLocked(sc, err, res)
+				s.mu.Unlock()
+				s.settle(sc, stateCancelled, err, res)
 				return nil
 			}
 			if ctx.Err() == nil {
@@ -1058,20 +1080,12 @@ func (s *Server) runScanAttempt(ctx context.Context, sc *scan) error {
 		s.mu.Unlock()
 		return err
 	}
-	sc.State = stateDone
-	sc.Finished = s.now()
-	sc.Result = res
 	sc.Cached = hit
 	if !hit {
 		sc.Inc = incRep
 		sc.Worker = dispatchWorker
 	}
-	delete(s.active, sc.Key)
-	payload := s.resultPayloadLocked(sc)
-	created, finished := sc.Created, sc.Finished
-	worker := sc.Worker
 	s.mu.Unlock()
-	s.rec.Counter("scans_completed_total").Inc()
 	if hit {
 		s.recordEvent(obs.Event{Scan: sc.ID, Type: evCacheHit, Detail: "coalesced with in-flight identical scan"})
 	}
@@ -1082,12 +1096,7 @@ func (s *Server) runScanAttempt(ctx context.Context, sc *scan) error {
 		})
 	}
 	s.degradationEvents(sc.ID, res)
-	s.settleEvent(sc, stateDone, "", created, finished)
-	s.journal(durable.Record{
-		Type: durable.RecCompleted, ScanID: sc.ID, Attempt: sc.Attempts,
-		Worker: worker, Payload: payload,
-	})
-	s.maybeCompact()
+	s.settle(sc, stateDone, nil, res)
 	return nil
 }
 
@@ -1113,50 +1122,39 @@ func (s *Server) degradationEvents(id string, res *analyzer.Result) {
 	}
 }
 
-// settleCancelledLocked settles a cancelled scan; caller holds s.mu,
-// which is released before journaling.
-func (s *Server) settleCancelledLocked(sc *scan, cause error, partial *analyzer.Result) {
-	sc.State = stateCancelled
-	sc.Err = cause.Error()
-	if partial != nil {
-		sc.Result = partial
-	}
-	sc.Finished = s.now()
-	delete(s.active, sc.Key)
-	payload := s.resultPayloadLocked(sc)
-	created, finished := sc.Created, sc.Finished
-	s.mu.Unlock()
-	s.rec.Counter("scans_cancelled_total").Inc()
-	s.settleEvent(sc, stateCancelled, cause.Error(), created, finished)
-	// A cancelled scan is settled work: journal it as completed (the
-	// payload records the cancelled state) so replay does not re-run
-	// what a client deliberately stopped.
-	s.journal(durable.Record{
-		Type: durable.RecCompleted, ScanID: sc.ID, Attempt: sc.Attempts,
-		Error: sc.Err, Payload: payload,
-	})
-	s.maybeCompact()
+// settleCounters names the counter each final state settles into.
+var settleCounters = map[scanState]string{
+	stateDone:        "scans_completed_total",
+	stateCancelled:   "scans_cancelled_total",
+	stateQuarantined: "scans_quarantined_total",
 }
 
-// settleQuarantined dead-letters a scan whose attempts are exhausted
-// (or whose failure was terminal), keeping its latest partial result.
-func (s *Server) settleQuarantined(sc *scan, attempts int, err error) {
+// settle is every scan's terminal transition: done, cancelled or
+// quarantined. It sets the state, the error (cause, when there is one)
+// and the finish time, keeps the attempt's result (a cancelled or
+// failed attempt's partial one) and drops the scan from the in-flight
+// set; then it counts the settle, records the settled event (which
+// wakes waiters and fires Config.OnSettle), journals the final record
+// and lets the journal compact.
+func (s *Server) settle(sc *scan, state scanState, cause error, res *analyzer.Result) {
+	s.journalMu.Lock()
 	s.mu.Lock()
-	sc.State = stateQuarantined
-	sc.Attempts = attempts
-	sc.Err = err.Error()
+	sc.State = state
+	if cause != nil {
+		sc.Err = cause.Error()
+	}
+	if res != nil {
+		sc.Result = res
+	}
 	sc.Finished = s.now()
 	sc.cancel = nil
 	delete(s.active, sc.Key)
-	payload := s.resultPayloadLocked(sc)
-	created, finished := sc.Created, sc.Finished
+	final := s.finalRecordLocked(sc)
 	s.mu.Unlock()
-	s.rec.Counter("scans_quarantined_total").Inc()
-	s.settleEvent(sc, stateQuarantined, err.Error(), created, finished)
-	s.journal(durable.Record{
-		Type: durable.RecQuarantined, ScanID: sc.ID, Attempt: attempts,
-		Error: err.Error(), Payload: payload,
-	})
+	s.rec.Counter(settleCounters[state]).Inc()
+	s.settleEvent(sc, final, state)
+	s.journalLocked(final)
+	s.journalMu.Unlock()
 	s.maybeCompact()
 }
 

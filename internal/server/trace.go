@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -48,22 +49,40 @@ func (s *Server) recordEvent(e obs.Event) {
 	s.rec.Events().Append(e)
 }
 
-// settleEvent records a scan's terminal transition: the settled event
-// (detail = final state), the end-to-end settle-time histogram, a
-// structured log line, and the slow-scan timeline dump when the scan
-// exceeded the configured threshold. It also wakes the GET ?wait=
-// long-polls; the settled state is already visible to them. Callers
-// pass the scan's fields rather than the scan so no lock is held while
-// logging.
-func (s *Server) settleEvent(sc *scan, state scanState, errMsg string, created, finished time.Time) {
-	elapsed := finished.Sub(created)
-	if elapsed < 0 {
-		elapsed = 0
+// eventFor maps a lifecycle record to the event it stands for on the
+// timeline: accepted, attempt_started, attempt_failed (its backoff as
+// the duration) or settled. The live transitions and journal replay
+// both derive these events here, so a scan's live timeline and its
+// replayed one agree. detail carries what the record does not: the
+// target name of an accepted record, the state of a final one. Every
+// other event type has no record.
+func eventFor(r durable.Record, detail string) obs.Event {
+	e := obs.Event{Scan: r.ScanID, Time: r.Time, Detail: detail}
+	switch r.Type {
+	case durable.RecAccepted:
+		e.Type = evAccepted
+	case durable.RecStarted:
+		e.Type, e.Attempt = evAttemptStarted, r.Attempt
+	case durable.RecAttemptFailed:
+		e.Type, e.Attempt, e.Err, e.DurMS = evAttemptFailed, r.Attempt, r.Error, r.BackoffMS
+	default: // completed or quarantined
+		e.Type, e.Err = evSettled, r.Error
 	}
-	s.recordEvent(obs.Event{
-		Scan: sc.ID, Type: evSettled, Detail: string(state),
-		Err: errMsg, DurMS: elapsed.Milliseconds(),
-	})
+	return e
+}
+
+// settleEvent records a scan's terminal transition from its final
+// record: the settled event (eventFor, with the end-to-end time), the
+// settle-time histogram, a structured log line, and the slow-scan
+// timeline dump when the scan reached Config.SlowScanThreshold. It
+// also wakes the GET ?wait= long-polls and fires Config.OnSettle; the
+// settled state is already visible to them. No s.mu is held while
+// logging: a scan's ID, Created and Target do not change.
+func (s *Server) settleEvent(sc *scan, final durable.Record, state scanState) {
+	elapsed := max(final.Time.Sub(sc.Created), 0)
+	e := eventFor(final, string(state))
+	e.DurMS = elapsed.Milliseconds()
+	s.recordEvent(e)
 	s.mu.Lock()
 	s.wakeWaitersLocked()
 	s.mu.Unlock()
@@ -77,23 +96,15 @@ func (s *Server) settleEvent(sc *scan, state scanState, errMsg string, created, 
 	}
 	logf("scan settled",
 		"scan_id", sc.ID, "state", string(state), "target", sc.Target.Name,
-		"elapsed_ms", elapsed.Milliseconds(), "error", errMsg)
-	s.maybeLogSlow(sc.ID, sc.Target.Name, elapsed)
-}
-
-// maybeLogSlow dumps a scan's full timeline at warn level when its
-// end-to-end time crossed Config.SlowScanThreshold, so outliers
-// explain themselves without anyone having to re-run them.
-func (s *Server) maybeLogSlow(id, target string, elapsed time.Duration) {
-	if s.cfg.SlowScanThreshold <= 0 || elapsed < s.cfg.SlowScanThreshold {
-		return
+		"elapsed_ms", elapsed.Milliseconds(), "error", final.Error)
+	// An outlier explains itself: its whole timeline, at warn level.
+	if s.cfg.SlowScanThreshold > 0 && elapsed >= s.cfg.SlowScanThreshold {
+		s.rec.Counter("scans_slow_total").Inc()
+		s.log.Warn("slow scan",
+			"scan_id", sc.ID, "target", sc.Target.Name, "elapsed_ms", elapsed.Milliseconds(),
+			"threshold_ms", s.cfg.SlowScanThreshold.Milliseconds(),
+			"timeline", s.rec.Events().ForScan(sc.ID))
 	}
-	s.rec.Counter("scans_slow_total").Inc()
-	s.log.Warn("slow scan",
-		"scan_id", id, "target", target,
-		"elapsed_ms", elapsed.Milliseconds(),
-		"threshold_ms", s.cfg.SlowScanThreshold.Milliseconds(),
-		"timeline", s.rec.Events().ForScan(id))
 }
 
 // traceJSON is the wire shape of GET /v1/scans/{id}/trace: the scan's
