@@ -216,6 +216,7 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 		// the payload's is the acceptance.
 		accepted := eventFor(st.Accepted, sc.Target.Name)
 		accepted.Time = sc.Created
+		s.recordEvent(accepted)
 
 		if st.Settled() {
 			var res resultPayload
@@ -247,7 +248,6 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 			}
 			// The trace spans both process lifetimes: the replay marker
 			// gets the boot's time.
-			s.recordEvent(accepted)
 			s.recordEvent(eventFor(*st.Final, string(sc.State)))
 			s.recordEvent(obs.Event{
 				Scan: sc.ID, Type: evReplayed,
@@ -275,7 +275,6 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 		}
 		sc.queuedAt = s.now()
 		sc.resubmitted = true
-		s.recordEvent(accepted)
 		engine, _, err := s.engine(sc.Tool, sc.Profile)
 		if err != nil {
 			// The tool that accepted this scan no longer builds
@@ -343,14 +342,9 @@ func (s *Server) addScanLocked(sc *scan) {
 	s.evictScansLocked()
 }
 
-// settledState reports whether state needs no further execution.
-func settledState(st scanState) bool {
-	switch st {
-	case stateDone, stateCancelled, stateQuarantined:
-		return true
-	}
-	return false
-}
+// settledState reports whether state needs no further execution: it
+// is one a scan settles into.
+func settledState(st scanState) bool { return settleCounters[st] != "" }
 
 // evictScansLocked enforces ScanTTL and MaxScans over settled scans;
 // queued and running scans are never evicted. Caller holds s.mu.

@@ -20,8 +20,8 @@ import (
 // fails every attempt, "block" signals started and parks on the scan
 // context until it is cancelled, "failblock" and "flaky" fail the
 // first attempt of their engine and then block like "block" or finish,
-// and anything else finishes at once. A failed or cancelled attempt returns a partial result, as the
-// engines do.
+// and anything else finishes at once. A failed or cancelled attempt
+// returns a partial result, as the engines do.
 type profileAnalyzer struct {
 	profile string
 	started chan<- struct{}
@@ -295,7 +295,15 @@ func TestRefusedRetryRacingCompactionStaysQuarantined(t *testing.T) {
 	go func() { e.srv.CompactJournal(); close(compacted) }()
 	time.Sleep(50 * time.Millisecond)
 	retried := make(chan int)
-	go func() { retried <- e.post(t, "/v1/scans/"+poison+"/retry") }()
+	go func() {
+		resp, err := http.Post(e.ts.URL+"/v1/scans/"+poison+"/retry", "application/json", nil)
+		if err != nil {
+			retried <- 0
+			return
+		}
+		resp.Body.Close()
+		retried <- resp.StatusCode
+	}()
 	time.Sleep(50 * time.Millisecond)
 	e.srv.journalMu.Unlock()
 	if code := <-retried; code != http.StatusTooManyRequests {

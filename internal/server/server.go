@@ -166,7 +166,8 @@ type Config struct {
 	// OnSettle, when set, fires after every live terminal transition
 	// (done, cancelled, quarantined) with the scan id and final state;
 	// replay-rehydrated settles (which happened in a previous process
-	// lifetime) do not fire it.
+	// lifetime) do not fire it. It may run while the server holds its
+	// journal lock, so it must not call back into the server.
 	OnSettle func(scanID, state string)
 	// ExtraLiveRecords, when set, contributes additional records to
 	// every journal compaction's live set — state owned by a layer
@@ -897,7 +898,8 @@ func (s *Server) scanJob(sc *scan, priorAttempts int) *jobs.Job {
 			defer s.journalMu.Unlock()
 			started := durable.Record{Type: durable.RecStarted, ScanID: sc.ID, Attempt: attempt, Time: s.now()}
 			s.mu.Lock()
-			sc.Attempts, sc.started = attempt, started
+			sc.Attempts = attempt
+			sc.started = started
 			// A retry's queuedAt is the projected end of its backoff; a
 			// worker picking it up early clamps the wait to zero.
 			wait := max(started.Time.Sub(sc.queuedAt), 0)
@@ -917,7 +919,10 @@ func (s *Server) scanJob(sc *scan, priorAttempts int) *jobs.Job {
 				Error: err.Error(), BackoffMS: backoff.Milliseconds(), Time: s.now(),
 			}
 			s.mu.Lock()
-			sc.State, sc.cancel, sc.Err, sc.failed = stateQueued, nil, failed.Error, failed
+			sc.State = stateQueued
+			sc.cancel = nil
+			sc.Err = failed.Error
+			sc.failed = failed
 			sc.queuedAt = failed.Time.Add(backoff)
 			s.mu.Unlock()
 			s.rec.Counter("scans_retried_total").Inc()
@@ -1135,7 +1140,10 @@ var settleCounters = map[scanState]string{
 // failed attempt's partial one) and drops the scan from the in-flight
 // set; then it counts the settle, records the settled event (which
 // wakes waiters and fires Config.OnSettle), journals the final record
-// and lets the journal compact.
+// and lets the journal compact. journalMu spans the state change and
+// the append: a retry that sees the settled state cannot re-accept the
+// scan until the final record is in, so the final record never lands
+// after the retry's accepted record.
 func (s *Server) settle(sc *scan, state scanState, cause error, res *analyzer.Result) {
 	s.journalMu.Lock()
 	s.mu.Lock()
